@@ -18,7 +18,6 @@ from .dataset import (
     write_csv,
 )
 from .ga import (
-    Chromosome,
     GaConfig,
     GenerationStats,
     Individual,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "REJECT",
-    "Chromosome",
     "ClassLabel",
     "Dataset",
     "DatasetError",

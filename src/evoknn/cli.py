@@ -9,6 +9,7 @@ byte-identically from the manifest's parameters.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 import warnings
@@ -73,6 +74,8 @@ def _load(path, args) -> Dataset:
 
 
 def _parse_mask(value: str, feature_count: int) -> FeatureMask:
+    """A 0/1 string of exactly ``feature_count`` characters is a bit string;
+    anything else must be a comma list of canonical decimal indices."""
     source = value
     p = Path(value)
     if p.is_file():
@@ -82,12 +85,16 @@ def _parse_mask(value: str, feature_count: int) -> FeatureMask:
             raise UsageError(f"mask file {value} is empty")
         source = lines[0]
     source = source.strip()
-    try:
-        if set(source) <= {"0", "1"} and len(source) == feature_count:
-            return FeatureMask.from_string(source)
-        return FeatureMask.from_indices(
-            [int(tok) for tok in source.split(",") if tok.strip()], feature_count
+    if len(source) == feature_count and set(source) <= {"0", "1"}:
+        return FeatureMask.from_string(source)
+    tokens = [tok.strip() for tok in source.split(",")]
+    if not all(re.fullmatch(r"0|[1-9][0-9]*", tok) for tok in tokens):
+        raise UsageError(
+            f"cannot parse mask {value!r}: want a {feature_count}-character 0/1 "
+            "string or comma-separated feature indices without leading zeros"
         )
+    try:
+        return FeatureMask.from_indices([int(tok) for tok in tokens], feature_count)
     except ValueError as exc:
         raise UsageError(f"cannot parse mask {value!r}: {exc}")
 
@@ -227,24 +234,17 @@ def cmd_select(args) -> int:
         print(f"warning: {message}", file=sys.stderr)
 
     started = time.perf_counter()
-    best, trace = evolve(train, eval_set, cfg, parallel=args.parallel)
+    best, trace, stopped = evolve(train, eval_set, cfg)
     wall = time.perf_counter() - started
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trace(trace, out_dir / "trace.csv")
-    mask = best.chromosome.decode()
+    mask = best.mask
     (out_dir / "best_mask.txt").write_text(mask.to_string() + "\n", encoding="utf-8")
 
     length = train.feature_count
     eval_n = eval_set.n_samples
-    last = trace[-1]
-    if cfg.stop_on_fitness is not None and last.best_fitness >= cfg.stop_on_fitness:
-        stopped = "target_fitness"
-    elif len(trace) - 1 == cfg.max_generations:
-        stopped = "generation_budget"
-    else:
-        stopped = "stalled"
 
     manifest: list[tuple[str, object]] = [
         ("command", "select"),
@@ -270,7 +270,6 @@ def cmd_select(args) -> int:
         ("stop_on_fitness", cfg.stop_on_fitness),
         ("stall_generations", cfg.stall_generations),
         ("normalize", args.normalize),
-        ("parallel", args.parallel),
         ("best_fitness", best.fitness),
         ("final_recognition_hits", best.hits),
         ("final_recognition_rate_percent", f"{100.0 * best.hits / eval_n:.2f}"),
@@ -487,8 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stall-generations", type=int, default=None)
     p.add_argument("--normalize", action="store_true",
                    help="min-max scale features using training bounds")
-    p.add_argument("--parallel", action="store_true",
-                   help="evaluate fitness in parallel (identical results)")
     p.add_argument("--holdout", default=None,
                    help="third dataset never seen by the GA, reported in the summary")
     _dataset_flags(p)
@@ -498,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("train")
     p.add_argument("test")
     p.add_argument("--mask", required=True,
-                   help="bit string, comma-separated indices, or a mask file")
+                   help="0/1 string of one character per feature, comma-separated "
+                        "indices, or a file holding either")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--reject-ties", action="store_true",
                    help="report REJECT instead of breaking vote ties")

@@ -5,10 +5,10 @@ correctly recognised evaluation samples, traded off against the number of
 active features.  The loop is a canonical generational GA (tournament
 selection, single-point crossover, bit-flip mutation, elitism) made fully
 reproducible: one seeded generator drives every stochastic draw in a fixed
-order, and fitness evaluation is pure so it may run in parallel without
-changing any recorded value.
+order.  Individuals are ``FeatureMask`` bit strings, and fitness is a pure
+function of the mask, so each distinct mask is scored once per run.
 
-Draw order per run: population init (per chromosome: L uniform bit coins,
+Draw order per run: population init (per mask: L uniform bit coins,
 plus one repair index if all bits came up 0), then per bred pair: parent A
 tournament indices, parent B tournament indices, crossover coin, cut point
 (only when crossing and L >= 2), then for each of the two children a
@@ -21,8 +21,8 @@ Both children are always drawn even when only one slot remains.
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -34,39 +34,8 @@ from .knn import FeatureMask, recognition_rate
 
 
 @dataclass(frozen=True)
-class Chromosome:
-    """Bit-string genotype; decodes one-to-one into a FeatureMask."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.ascontiguousarray(self.bits, dtype=bool)
-        if bits.ndim != 1 or bits.size == 0:
-            raise ValueError("chromosome must be a non-empty 1D bit string")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def length(self) -> int:
-        return self.bits.size
-
-    @property
-    def popcount(self) -> int:
-        return int(self.bits.sum())
-
-    def decode(self) -> FeatureMask:
-        return FeatureMask(self.bits)
-
-    def __eq__(self, other):
-        return isinstance(other, Chromosome) and np.array_equal(self.bits, other.bits)
-
-    def __hash__(self):
-        return hash(self.bits.tobytes())
-
-
-@dataclass(frozen=True)
 class Individual:
-    chromosome: Chromosome
+    mask: FeatureMask
     fitness: float
     hits: int
     nf: int
@@ -154,13 +123,13 @@ TRACE_COLUMNS = (
 
 
 def fitness(
-    ch: Chromosome, train: Dataset, eval_set: Dataset, cfg: GaConfig
+    mask: FeatureMask, train: Dataset, eval_set: Dataset, cfg: GaConfig
 ) -> tuple[float, int, int]:
-    """Evaluate one chromosome: (alpha*hits - beta*nf, hits, nf)."""
-    nf = ch.popcount
+    """Evaluate one mask: (alpha*hits - beta*nf, hits, nf)."""
+    nf = mask.active_count
     if nf == 0:
-        raise ValueError("all-zero chromosome must be repaired before evaluation")
-    hits, _, _ = recognition_rate(train, eval_set, cfg.k, ch.decode())
+        raise ValueError("all-zero mask must be repaired before evaluation")
+    hits, _, _ = recognition_rate(train, eval_set, cfg.k, mask)
     return cfg.alpha * hits - cfg.beta * nf, hits, nf
 
 
@@ -170,22 +139,22 @@ def _repair(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return bits
 
 
-def _ensure_nonempty(ch: Chromosome, rng: np.random.Generator) -> Chromosome:
+def _ensure_nonempty(mask: FeatureMask, rng: np.random.Generator) -> FeatureMask:
     # fitness is undefined for an empty mask, so every bred child is
     # repaired before evaluation; almost always a no-op
-    if ch.popcount:
-        return ch
-    return Chromosome(_repair(ch.bits.copy(), rng))
+    if mask.active_count:
+        return mask
+    return FeatureMask(_repair(mask.bits.copy(), rng))
 
 
-def init_population(cfg: GaConfig, length: int, rng: np.random.Generator) -> list[Chromosome]:
-    """Uniform random chromosomes; all-zero draws get one random bit set."""
+def init_population(cfg: GaConfig, length: int, rng: np.random.Generator) -> list[FeatureMask]:
+    """Uniform random masks; all-zero draws get one random bit set."""
     if length < 1:
-        raise ValueError("chromosome length must be positive")
+        raise ValueError("mask length must be positive")
     pop = []
     for _ in range(cfg.population_size):
         bits = rng.random(length) < 0.5
-        pop.append(Chromosome(_repair(bits, rng)))
+        pop.append(FeatureMask(_repair(bits, rng)))
     return pop
 
 
@@ -203,12 +172,12 @@ def tournament_select(
 
 
 def crossover(
-    a: Chromosome, b: Chromosome, cfg: GaConfig, rng: np.random.Generator
-) -> tuple[Chromosome, Chromosome]:
+    a: FeatureMask, b: FeatureMask, cfg: GaConfig, rng: np.random.Generator
+) -> tuple[FeatureMask, FeatureMask]:
     """Single-point crossover with probability ``crossover_prob``, else copies.
 
     The cut position is uniform over 1..L-1, so both children always receive
-    material from both parents; length-1 chromosomes have no interior cut and
+    material from both parents; length-1 masks have no interior cut and
     pass through unchanged.
     """
     if a.length != b.length:
@@ -217,58 +186,21 @@ def crossover(
         cut = int(rng.integers(1, a.length))
         c1 = np.concatenate([a.bits[:cut], b.bits[cut:]])
         c2 = np.concatenate([b.bits[:cut], a.bits[cut:]])
-        return Chromosome(c1), Chromosome(c2)
+        return FeatureMask(c1), FeatureMask(c2)
     return a, b
 
 
-def mutate(ch: Chromosome, cfg: GaConfig, rng: np.random.Generator) -> Chromosome:
+def mutate(mask: FeatureMask, cfg: GaConfig, rng: np.random.Generator) -> FeatureMask:
     """With probability ``mutation_prob``, flip each bit at the per-bit rate.
 
     An all-zero result is repaired by setting one uniformly chosen bit, so
-    every chromosome handed to fitness evaluation has popcount >= 1.
+    every mask handed to fitness evaluation has active_count >= 1.
     """
     if rng.random() >= cfg.mutation_prob:
-        return ch
-    flips = rng.random(ch.length) < cfg.flip_rate(ch.length)
-    bits = ch.bits ^ flips
-    return Chromosome(_repair(bits, rng))
-
-
-class _Evaluator:
-    """Caches fitness by chromosome bits; optional parallel batch evaluation.
-
-    Evaluation is a pure function of (chromosome, datasets, cfg), so thread
-    scheduling cannot change any value: results are keyed by chromosome and
-    reassembled in population order.
-    """
-
-    def __init__(self, train: Dataset, eval_set: Dataset, cfg: GaConfig, parallel: bool):
-        self.train = train
-        self.eval_set = eval_set
-        self.cfg = cfg
-        self.parallel = parallel
-        self.cache: dict[bytes, tuple[float, int, int]] = {}
-
-    def evaluate(self, chroms: list[Chromosome]) -> list[Individual]:
-        fresh: list[Chromosome] = []
-        seen = set()
-        for ch in chroms:
-            key = ch.bits.tobytes()
-            if key not in self.cache and key not in seen:
-                seen.add(key)
-                fresh.append(ch)
-        if self.parallel and len(fresh) > 1:
-            with ThreadPoolExecutor() as pool:
-                results = list(
-                    pool.map(lambda c: fitness(c, self.train, self.eval_set, self.cfg), fresh)
-                )
-        else:
-            results = [fitness(c, self.train, self.eval_set, self.cfg) for c in fresh]
-        for ch, res in zip(fresh, results):
-            self.cache[ch.bits.tobytes()] = res
-        return [
-            Individual(ch, *self.cache[ch.bits.tobytes()]) for ch in chroms
-        ]
+        return mask
+    flips = rng.random(mask.length) < cfg.flip_rate(mask.length)
+    bits = mask.bits ^ flips
+    return FeatureMask(_repair(bits, rng))
 
 
 def _summarize(generation: int, pop: list[Individual]) -> GenerationStats:
@@ -282,7 +214,7 @@ def _summarize(generation: int, pop: list[Individual]) -> GenerationStats:
         min_fitness=float(fits.min()),
         best_nf=best.nf,
         best_hits=best.hits,
-        best_mask=best.chromosome.decode(),
+        best_mask=best.mask,
     )
 
 
@@ -290,30 +222,38 @@ def evolve(
     train: Dataset,
     eval_set: Dataset,
     cfg: GaConfig,
-    parallel: bool = False,
     on_generation: Optional[Callable[[GenerationStats], None]] = None,
-) -> tuple[Individual, list[GenerationStats]]:
-    """Run the generational loop; returns the best individual ever seen.
+) -> tuple[Individual, list[GenerationStats], str]:
+    """Run the generational loop.
 
-    Each generation is evaluated and recorded, then the stop rules fire in
-    order: target fitness reached, best-fitness stall, generation budget.
-    Otherwise the ``elite_count`` best survive unchanged and the remainder is
-    refilled with mutated crossover offspring of tournament winners.  The
-    trace holds one entry per evaluated generation, the initial population
-    included, and is identical for serial and parallel evaluation.
+    Returns ``(best, trace, stopped_by)``: the best individual ever seen, one
+    trace entry per evaluated generation (the initial population included),
+    and the stop rule that ended the run.  After each generation is recorded
+    the stop rules are checked in order, and the first that holds is
+    reported: ``"target_fitness"`` (best fitness reached ``stop_on_fitness``),
+    ``"stalled"`` (``stall_generations`` generations without a better best),
+    ``"generation_budget"`` (``max_generations`` reached).  Otherwise the
+    ``elite_count`` best survive unchanged and the remainder is refilled with
+    mutated crossover offspring of tournament winners.
     """
     if train.feature_count < 1:
         raise ValueError("training set must have at least one feature")
     length = train.feature_count
     rng = np.random.default_rng(cfg.seed)
-    evaluator = _Evaluator(train, eval_set, cfg, parallel)
+    cache: dict[FeatureMask, tuple[float, int, int]] = {}
 
-    population = evaluator.evaluate(init_population(cfg, length, rng))
+    def evaluate(masks: list[FeatureMask]) -> list[Individual]:
+        for mask in masks:
+            if mask not in cache:
+                cache[mask] = fitness(mask, train, eval_set, cfg)
+        return [Individual(mask, *cache[mask]) for mask in masks]
+
+    population = evaluate(init_population(cfg, length, rng))
     trace: list[GenerationStats] = []
     best_ever: Optional[Individual] = None
     stall = 0
 
-    for gen in range(cfg.max_generations + 1):
+    for gen in itertools.count():
         stats = _summarize(gen, population)
         trace.append(stats)
         if on_generation is not None:
@@ -325,29 +265,26 @@ def evolve(
         else:
             stall += 1
         if cfg.stop_on_fitness is not None and stats.best_fitness >= cfg.stop_on_fitness:
-            break
+            return best_ever, trace, "target_fitness"
         if cfg.stall_generations is not None and stall >= cfg.stall_generations:
-            break
+            return best_ever, trace, "stalled"
         if gen == cfg.max_generations:
-            break
+            return best_ever, trace, "generation_budget"
 
         order = sorted(range(len(population)), key=lambda i: (-population[i].fitness, i))
         elites = [population[i] for i in order[: cfg.elite_count]]
         need = cfg.population_size - len(elites)
-        offspring: list[Chromosome] = []
+        offspring: list[FeatureMask] = []
         while len(offspring) < need:
             pa = tournament_select(population, cfg, rng)
             pb = tournament_select(population, cfg, rng)
-            c1, c2 = crossover(pa.chromosome, pb.chromosome, cfg, rng)
+            c1, c2 = crossover(pa.mask, pb.mask, cfg, rng)
             c1 = _ensure_nonempty(mutate(c1, cfg, rng), rng)
             c2 = _ensure_nonempty(mutate(c2, cfg, rng), rng)
             offspring.append(c1)
             if len(offspring) < need:
                 offspring.append(c2)
-        population = elites + evaluator.evaluate(offspring)
-
-    assert best_ever is not None
-    return best_ever, trace
+        population = elites + evaluate(offspring)
 
 
 def exhaustive_best(
@@ -364,25 +301,18 @@ def exhaustive_best(
         raise ValueError(
             f"feature count {length} exceeds the exhaustive guard of {max_length}"
         )
-    best: Optional[tuple[float, int, tuple, int]] = None  # fitness, nf, bits, hits
+    best = None  # (key, mask, fitness, hits, nf); the smallest key wins
     for m in range(1, 1 << length):
-        bits = np.array([(m >> n) & 1 for n in range(length)], dtype=bool)
-        ch = Chromosome(bits)
-        fit, hits, nf = fitness(ch, train, eval_set, cfg)
-        key = (fit, nf, tuple(bits), hits)
-        if best is None or _beats(key, best):
-            best = key
+        mask = FeatureMask(np.array([(m >> n) & 1 for n in range(length)], dtype=bool))
+        fit, hits, nf = fitness(mask, train, eval_set, cfg)
+        # bool bytes order like the 0/1 text, so equal-length masks compare
+        # lexicographically
+        key = (-fit, nf, mask.bits.tobytes())
+        if best is None or key < best[0]:
+            best = (key, mask, fit, hits, nf)
     assert best is not None
-    fit, nf, bits, hits = best
-    return FeatureMask(np.asarray(bits, dtype=bool)), fit, hits, nf
-
-
-def _beats(candidate: tuple, incumbent: tuple) -> bool:
-    if candidate[0] != incumbent[0]:
-        return candidate[0] > incumbent[0]
-    if candidate[1] != incumbent[1]:
-        return candidate[1] < incumbent[1]
-    return candidate[2] < incumbent[2]
+    _, mask, fit, hits, nf = best
+    return mask, fit, hits, nf
 
 
 def write_trace(trace: list[GenerationStats], path) -> None:

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: artefacts, replays, exit codes."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -113,6 +114,28 @@ def test_select_writes_artifacts_and_replays_identically(data_dir, tmp_path, cap
     assert summary["generations_run"] == "25"
 
 
+# sha256 of trace.csv for the AC-7 problem below, recorded before the mask
+# types were merged; any refactor of the GA must keep reproducing it
+GOLDEN_TRACE_SHA256 = "2e6258d85a00c4a4865b4b3c14acc6c8b94e478c04e288f1b2090b8e86931314"
+
+
+def test_select_trace_matches_golden_digest(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main([
+        "synth", "--out-dir", str(data), "--classes", "4", "--features", "12",
+        "--informative", "2,7", "--separation", "8", "--seed", "11",
+        "--train-per-class", "6", "--test-per-class", "3",
+    ]) == 0
+    out = tmp_path / "run"
+    assert cli.main([
+        "select", str(data / "train.csv"), str(data / "test.csv"), "--out-dir", str(out),
+        "--pop", "16", "--generations", "30", "--seed", "9", "--alpha", "0.5", "--beta", "0.5",
+    ]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_TRACE_SHA256
+
+
 def test_select_stop_on_fitness_reports_target(data_dir, tmp_path, capsys):
     out = tmp_path / "run"
     code = cli.main([
@@ -158,6 +181,26 @@ def test_select_holdout_and_stall(data_dir, tmp_path, capsys):
     assert summary["holdout_samples"] == "12"
     assert 0.0 <= float(summary["holdout_rate_percent"]) <= 100.0
     assert summary["normalize"] == "true"
+
+
+def test_select_stall_at_the_budget_reports_stalled(tmp_path, capsys):
+    # one informative feature: the generation-0 best is never beaten, so the
+    # stall count reaches 3 at the budget generation and the stall rule wins
+    data = tmp_path / "data"
+    assert cli.main([
+        "synth", "--out-dir", str(data), "--classes", "3", "--features", "4",
+        "--informative", "0", "--train-per-class", "5", "--test-per-class", "3",
+    ]) == 0
+    out = tmp_path / "run"
+    assert cli.main([
+        "select", str(data / "train.csv"), str(data / "test.csv"), "--out-dir", str(out),
+        "--generations", "3", "--stall-generations", "3",
+        "--alpha", "0.5", "--beta", "0.5",
+    ]) == 0
+    capsys.readouterr()
+    summary = read_manifest(out / "summary.txt")
+    assert summary["generations_run"] == "3"
+    assert summary["stopped_by"] == "stalled"
 
 
 def test_select_warns_on_alpha_beta_sum(data_dir, tmp_path, capsys):
@@ -346,8 +389,11 @@ def test_bad_mask_is_a_usage_error(data_dir, tmp_path, capsys):
     garbled = tmp_path / "mask.txt"
     garbled.write_text("# comment only\n")
     assert cli.main(["eval", train, test, "--mask", str(garbled)]) == 2
-    # a short 0/1 string that is not mask-length reads as index list: "01" -> [1]
-    assert cli.main(["eval", train, test, "--mask", "01"]) == 0
+    # a 0/1 string of the wrong length is no index list either: leading zeros
+    # are rejected instead of read as "01" -> [1] or "0000111" -> [111]
+    assert cli.main(["eval", train, test, "--mask", "01"]) == 2
+    assert cli.main(["eval", train, test, "--mask", "0000111"]) == 2
+    assert cli.main(["eval", train, test, "--mask", "1,,4"]) == 2
     capsys.readouterr()
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from evoknn.dataset import from_rows
 from evoknn.ga import (
-    Chromosome,
     GaConfig,
     Individual,
     crossover,
@@ -19,6 +18,7 @@ from evoknn.ga import (
     tournament_select,
     write_trace,
 )
+from evoknn.knn import FeatureMask
 from evoknn.synth import SynthSpec, generate
 
 from oracles import exhaustive_oracle
@@ -83,7 +83,7 @@ def test_config_validation():
 def test_fitness_is_alpha_hits_minus_beta_nf():
     train, test = tiny_problem()
     cfg = quiet_config(alpha=0.5, beta=0.25, k=1)
-    ch = Chromosome(np.array([0, 1, 0, 0, 1, 0], dtype=bool))
+    ch = FeatureMask(np.array([0, 1, 0, 0, 1, 0], dtype=bool))
     fit, hits, nf = fitness(ch, train, test, cfg)
     assert nf == 2
     assert fit == 0.5 * hits - 0.25 * 2
@@ -92,7 +92,7 @@ def test_fitness_is_alpha_hits_minus_beta_nf():
 def test_fitness_rejects_empty_chromosome():
     train, test = tiny_problem()
     with pytest.raises(ValueError):
-        fitness(Chromosome(np.zeros(6, dtype=bool)), train, test, quiet_config())
+        fitness(FeatureMask(np.zeros(6, dtype=bool)), train, test, quiet_config())
 
 
 # ----------------------------------------------------------- operators
@@ -102,15 +102,15 @@ def test_init_population_shapes_and_no_empty_masks():
     pop = init_population(quiet_config(population_size=40), 12, rng)
     assert len(pop) == 40
     assert all(ch.length == 12 for ch in pop)
-    assert all(ch.popcount >= 1 for ch in pop)
+    assert all(ch.active_count >= 1 for ch in pop)
 
 
 def test_tournament_selection_probabilities_are_exact():
     """Size-2 tournaments over 3 individuals: P = 1/9, 3/9, 5/9 by rank."""
     pop = [
-        Individual(Chromosome(np.array([1, 0, 0], dtype=bool)), 1.0, 0, 1),
-        Individual(Chromosome(np.array([0, 1, 0], dtype=bool)), 2.0, 0, 1),
-        Individual(Chromosome(np.array([0, 0, 1], dtype=bool)), 3.0, 0, 1),
+        Individual(FeatureMask(np.array([1, 0, 0], dtype=bool)), 1.0, 0, 1),
+        Individual(FeatureMask(np.array([0, 1, 0], dtype=bool)), 2.0, 0, 1),
+        Individual(FeatureMask(np.array([0, 0, 1], dtype=bool)), 3.0, 0, 1),
     ]
     cfg = quiet_config(population_size=3, tournament_size=2)
     rng = np.random.default_rng(7)
@@ -137,9 +137,9 @@ class _FixedDraws:
 
 def test_tournament_fitness_ties_go_to_the_lower_index():
     pop = [
-        Individual(Chromosome(np.array([1, 0], dtype=bool)), 5.0, 0, 1),
-        Individual(Chromosome(np.array([0, 1], dtype=bool)), 5.0, 0, 1),
-        Individual(Chromosome(np.array([1, 1], dtype=bool)), 1.0, 0, 2),
+        Individual(FeatureMask(np.array([1, 0], dtype=bool)), 5.0, 0, 1),
+        Individual(FeatureMask(np.array([0, 1], dtype=bool)), 5.0, 0, 1),
+        Individual(FeatureMask(np.array([1, 1], dtype=bool)), 1.0, 0, 2),
     ]
     cfg = quiet_config(population_size=3, tournament_size=2)
     # equal fitness: the lower index wins whichever order it was drawn in
@@ -151,8 +151,8 @@ def test_tournament_fitness_ties_go_to_the_lower_index():
 
 
 def test_crossover_single_point_structure():
-    a = Chromosome(np.zeros(10, dtype=bool))
-    b = Chromosome(np.ones(10, dtype=bool))
+    a = FeatureMask(np.zeros(10, dtype=bool))
+    b = FeatureMask(np.ones(10, dtype=bool))
     cfg = quiet_config(crossover_prob=1.0)
     rng = np.random.default_rng(3)
     seen_cuts = set()
@@ -171,8 +171,8 @@ def test_crossover_single_point_structure():
 
 
 def test_crossover_disabled_returns_parents():
-    a = Chromosome(np.array([1, 0, 1], dtype=bool))
-    b = Chromosome(np.array([0, 1, 1], dtype=bool))
+    a = FeatureMask(np.array([1, 0, 1], dtype=bool))
+    b = FeatureMask(np.array([0, 1, 1], dtype=bool))
     cfg = quiet_config(crossover_prob=0.0)
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -182,11 +182,11 @@ def test_crossover_disabled_returns_parents():
 
 def test_mutation_mean_flip_count_is_one_bit():
     length = 20
-    base = Chromosome(np.zeros(length, dtype=bool))
+    base = FeatureMask(np.zeros(length, dtype=bool))
     # popcount-1 repair would skew the count; give the base one set bit
     bits = base.bits.copy()
     bits[0] = True
-    base = Chromosome(bits)
+    base = FeatureMask(bits)
     cfg = quiet_config(mutation_prob=1.0)  # always mutate; default rate 1/L
     rng = np.random.default_rng(11)
     total_flips = 0
@@ -198,7 +198,7 @@ def test_mutation_mean_flip_count_is_one_bit():
 
 
 def test_mutation_probability_gate():
-    base = Chromosome(np.array([1, 0, 1, 0], dtype=bool))
+    base = FeatureMask(np.array([1, 0, 1, 0], dtype=bool))
     never = quiet_config(mutation_prob=0.0)
     rng = np.random.default_rng(2)
     for _ in range(50):
@@ -206,21 +206,21 @@ def test_mutation_probability_gate():
 
 
 def test_mutation_repairs_all_zero_results():
-    base = Chromosome(np.array([0, 0, 1, 0], dtype=bool))
+    base = FeatureMask(np.array([0, 0, 1, 0], dtype=bool))
     cfg = quiet_config(mutation_prob=1.0, per_bit_flip_rate=1.0)
     rng = np.random.default_rng(4)
     for _ in range(100):
         child = mutate(base, cfg, rng)  # flips every bit -> 1110 .. never empty
-        assert child.popcount >= 1
+        assert child.active_count >= 1
 
 
 def test_mutation_repair_from_certain_extinction():
-    base = Chromosome(np.array([1], dtype=bool))
+    base = FeatureMask(np.array([1], dtype=bool))
     cfg = quiet_config(population_size=2, elite_count=0, tournament_size=2,
                        mutation_prob=1.0, per_bit_flip_rate=1.0)
     rng = np.random.default_rng(4)
     for _ in range(50):
-        assert mutate(base, cfg, rng).popcount == 1
+        assert mutate(base, cfg, rng).active_count == 1
 
 
 def test_breeding_repairs_empty_crossover_children():
@@ -229,7 +229,7 @@ def test_breeding_repairs_empty_crossover_children():
     train, test = tiny_problem(seed=9)
     cfg = quiet_config(population_size=10, max_generations=50, seed=13,
                        crossover_prob=1.0, mutation_prob=0.0)
-    best, trace = evolve(train, test, cfg)
+    best, trace, _ = evolve(train, test, cfg)
     assert best.nf >= 1
     assert all(s.best_mask.active_count >= 1 for s in trace)
 
@@ -239,35 +239,28 @@ def test_breeding_repairs_empty_crossover_children():
 def test_evolve_is_deterministic_for_a_seed():
     train, test = tiny_problem()
     cfg = quiet_config(population_size=12, max_generations=15, seed=99)
-    best1, trace1 = evolve(train, test, cfg)
-    best2, trace2 = evolve(train, test, cfg)
+    best1, trace1, _ = evolve(train, test, cfg)
+    best2, trace2, _ = evolve(train, test, cfg)
     assert best1 == best2
     assert trace1 == trace2
 
     other = quiet_config(population_size=12, max_generations=15, seed=100)
-    _, trace3 = evolve(train, test, other)
+    _, trace3, _ = evolve(train, test, other)
     assert trace3 != trace1
-
-
-def test_parallel_evaluation_is_trace_identical():
-    train, test = tiny_problem()
-    cfg = quiet_config(population_size=16, max_generations=10, seed=5)
-    _, serial = evolve(train, test, cfg, parallel=False)
-    _, parallel = evolve(train, test, cfg, parallel=True)
-    assert serial == parallel
 
 
 def test_trace_covers_every_generation_and_stops_on_budget():
     train, test = tiny_problem()
     cfg = quiet_config(population_size=8, max_generations=7, seed=1)
-    _, trace = evolve(train, test, cfg)
+    _, trace, stopped_by = evolve(train, test, cfg)
     assert [s.generation for s in trace] == list(range(8))
+    assert stopped_by == "generation_budget"
 
 
 def test_zero_generation_budget_still_evaluates_the_initial_population():
     train, test = tiny_problem()
     cfg = quiet_config(population_size=8, max_generations=0, seed=1)
-    best, trace = evolve(train, test, cfg)
+    best, trace, _ = evolve(train, test, cfg)
     assert len(trace) == 1
     assert best.fitness == trace[0].best_fitness
 
@@ -275,30 +268,44 @@ def test_zero_generation_budget_still_evaluates_the_initial_population():
 def test_stop_on_fitness_halts_early():
     train, test = tiny_problem()
     slow = quiet_config(population_size=10, max_generations=60, seed=2)
-    _, full_trace = evolve(train, test, slow)
+    _, full_trace, _ = evolve(train, test, slow)
     target = full_trace[0].best_fitness  # already reached at generation 0
     eager = quiet_config(population_size=10, max_generations=60, seed=2,
                          stop_on_fitness=target)
-    _, trace = evolve(train, test, eager)
+    _, trace, stopped_by = evolve(train, test, eager)
     assert len(trace) == 1
+    assert stopped_by == "target_fitness"
 
 
 def test_stall_stop_triggers_after_no_improvement():
     train, test = tiny_problem()
     cfg = quiet_config(population_size=10, max_generations=500, seed=3,
                        stall_generations=12)
-    best, trace = evolve(train, test, cfg)
+    best, trace, stopped_by = evolve(train, test, cfg)
     assert len(trace) - 1 < 500
+    assert stopped_by == "stalled"
     # the last stall_generations generations brought no better individual
     peak = max(s.best_fitness for s in trace)
     assert best.fitness == peak
+
+
+def test_stall_reached_at_the_budget_generation_reports_stalled():
+    # one informative feature: the generation-0 best is already optimal, so
+    # the stall count reaches 3 exactly at the 3-generation budget
+    train, test = generate(SynthSpec(n_classes=3, n_features=4, informative=(0,),
+                                     train_per_class=5, test_per_class=3, seed=0))
+    cfg = quiet_config(alpha=0.5, beta=0.5, max_generations=3, stall_generations=3)
+    _, trace, stopped_by = evolve(train, test, cfg)
+    assert len(trace) == 4
+    assert all(s.best_fitness == trace[0].best_fitness for s in trace)
+    assert stopped_by == "stalled"
 
 
 def test_elitism_keeps_best_fitness_non_decreasing():
     train, test = tiny_problem(seed=8)
     cfg = quiet_config(population_size=14, max_generations=40, seed=21,
                        elite_count=2)
-    _, trace = evolve(train, test, cfg)
+    _, trace, _ = evolve(train, test, cfg)
     values = [s.best_fitness for s in trace]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -307,7 +314,7 @@ def test_on_generation_callback_sees_the_trace():
     train, test = tiny_problem()
     cfg = quiet_config(population_size=8, max_generations=5, seed=1)
     seen = []
-    _, trace = evolve(train, test, cfg, on_generation=seen.append)
+    _, trace, _ = evolve(train, test, cfg, on_generation=seen.append)
     assert seen == trace
 
 
@@ -317,14 +324,14 @@ def test_best_ever_can_precede_the_final_generation():
     train, test = tiny_problem(seed=4)
     cfg = quiet_config(population_size=6, max_generations=30, seed=17,
                        elite_count=0)
-    best, trace = evolve(train, test, cfg)
+    best, trace, _ = evolve(train, test, cfg)
     assert best.fitness == max(s.best_fitness for s in trace)
 
 
 def test_write_trace_format(tmp_path):
     train, test = tiny_problem()
     cfg = quiet_config(population_size=8, max_generations=3, seed=1)
-    _, trace = evolve(train, test, cfg)
+    _, trace, _ = evolve(train, test, cfg)
     path = tmp_path / "trace.csv"
     write_trace(trace, path)
     lines = path.read_text().splitlines()
