@@ -73,6 +73,26 @@ def _load(path, args) -> Dataset:
     return load_csv(path, label_column=args.label_column, has_header=not args.no_header)
 
 
+def _check_k(k: int, train: Dataset) -> None:
+    if not 1 <= k <= train.n_samples:
+        raise UsageError(f"--k must be in 1..{train.n_samples}, got {k}")
+
+
+def _ga_config(args, **fields) -> tuple[GaConfig, list[str]]:
+    """GaConfig from ``args``' --k/--alpha/--beta plus ``fields``; a bad value
+    is a usage error.  Returns the config and its warnings, echoed to stderr."""
+    with warnings.catch_warnings(record=True) as records:
+        warnings.simplefilter("always")
+        try:
+            cfg = GaConfig(alpha=args.alpha, beta=args.beta, k=args.k, **fields)
+        except ValueError as exc:
+            raise UsageError(str(exc))
+    caught = [str(r.message) for r in records]
+    for message in caught:
+        print(f"warning: {message}", file=sys.stderr)
+    return cfg, caught
+
+
 def _parse_mask(value: str, feature_count: int) -> FeatureMask:
     """A 0/1 string of exactly ``feature_count`` characters is a bit string;
     anything else must be a comma list of canonical decimal indices."""
@@ -204,6 +224,7 @@ def cmd_select(args) -> int:
         holdout = _load(args.holdout, args)
         train, holdout = unify_vocabulary(train, holdout)
         _, eval_set = unify_vocabulary(train, eval_set)
+    _check_k(args.k, train)
     if args.normalize:
         others = [eval_set] + ([holdout] if holdout is not None else [])
         train, scaled, _ = normalize_minmax(train, others)
@@ -211,27 +232,19 @@ def cmd_select(args) -> int:
         if holdout is not None:
             holdout = scaled[1]
 
-    caught: list[str] = []
-    with warnings.catch_warnings(record=True) as records:
-        warnings.simplefilter("always")
-        cfg = GaConfig(
-            population_size=args.pop,
-            max_generations=args.generations,
-            crossover_prob=args.crossover_prob,
-            mutation_prob=args.mutation_prob,
-            per_bit_flip_rate=args.bit_flip_rate,
-            alpha=args.alpha,
-            beta=args.beta,
-            k=args.k,
-            seed=args.seed,
-            elite_count=args.elite,
-            tournament_size=args.tournament,
-            stop_on_fitness=args.stop_on_fitness,
-            stall_generations=args.stall_generations,
-        )
-        caught = [str(r.message) for r in records]
-    for message in caught:
-        print(f"warning: {message}", file=sys.stderr)
+    cfg, caught = _ga_config(
+        args,
+        population_size=args.pop,
+        max_generations=args.generations,
+        crossover_prob=args.crossover_prob,
+        mutation_prob=args.mutation_prob,
+        per_bit_flip_rate=args.bit_flip_rate,
+        seed=args.seed,
+        elite_count=args.elite,
+        tournament_size=args.tournament,
+        stop_on_fitness=args.stop_on_fitness,
+        stall_generations=args.stall_generations,
+    )
 
     started = time.perf_counter()
     best, trace, stopped = evolve(train, eval_set, cfg)
@@ -304,6 +317,7 @@ def cmd_eval(args) -> int:
     train = _load(args.train, args)
     test = _load(args.test, args)
     train, test = unify_vocabulary(train, test)
+    _check_k(args.k, train)
     if args.normalize:
         train, scaled, _ = normalize_minmax(train, [test])
         test = scaled[0]
@@ -414,11 +428,8 @@ def cmd_oracle(args) -> int:
     train = _load(args.train, args)
     eval_set = _load(args.eval, args)
     train, eval_set = unify_vocabulary(train, eval_set)
-    with warnings.catch_warnings(record=True) as records:
-        warnings.simplefilter("always")
-        cfg = GaConfig(alpha=args.alpha, beta=args.beta, k=args.k, seed=0)
-    for r in records:
-        print(f"warning: {r.message}", file=sys.stderr)
+    _check_k(args.k, train)
+    cfg, _ = _ga_config(args, seed=0)
     mask, fitness_value, hits, nf = exhaustive_best(
         train, eval_set, cfg, max_length=args.max_features
     )

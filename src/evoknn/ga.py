@@ -12,11 +12,10 @@ Draw order per run: population init (per mask: L uniform bit coins,
 plus one repair index if all bits came up 0), then per bred pair: parent A
 tournament indices, parent B tournament indices, crossover coin, cut point
 (only when crossing and L >= 2), then for each of the two children a
-mutation coin followed (only when mutating) by L flip coins and a repair
-index if needed.  A child that is still all-zero after its mutation step
-(crossover can cut two sparse parents into an empty child, and the mutation
-coin may skip) draws one extra repair index before it can be evaluated.
-Both children are always drawn even when only one slot remains.
+mutation coin, L flip coins (only when mutating), and one repair index if
+the child is all-zero.  The repair applies whether or not the coin fired:
+crossover can cut two sparse parents into an empty child.  Both children
+are always drawn even when only one slot remains.
 """
 
 from __future__ import annotations
@@ -139,14 +138,6 @@ def _repair(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return bits
 
 
-def _ensure_nonempty(mask: FeatureMask, rng: np.random.Generator) -> FeatureMask:
-    # fitness is undefined for an empty mask, so every bred child is
-    # repaired before evaluation; almost always a no-op
-    if mask.active_count:
-        return mask
-    return FeatureMask(_repair(mask.bits.copy(), rng))
-
-
 def init_population(cfg: GaConfig, length: int, rng: np.random.Generator) -> list[FeatureMask]:
     """Uniform random masks; all-zero draws get one random bit set."""
     if length < 1:
@@ -193,13 +184,13 @@ def crossover(
 def mutate(mask: FeatureMask, cfg: GaConfig, rng: np.random.Generator) -> FeatureMask:
     """With probability ``mutation_prob``, flip each bit at the per-bit rate.
 
-    An all-zero result is repaired by setting one uniformly chosen bit, so
-    every mask handed to fitness evaluation has active_count >= 1.
+    An all-zero result, mutated or not, is repaired by setting one uniformly
+    chosen bit, so every mask handed to fitness evaluation has
+    active_count >= 1.
     """
-    if rng.random() >= cfg.mutation_prob:
-        return mask
-    flips = rng.random(mask.length) < cfg.flip_rate(mask.length)
-    bits = mask.bits ^ flips
+    bits = mask.bits.copy()
+    if rng.random() < cfg.mutation_prob:
+        bits ^= rng.random(mask.length) < cfg.flip_rate(mask.length)
     return FeatureMask(_repair(bits, rng))
 
 
@@ -279,12 +270,8 @@ def evolve(
             pa = tournament_select(population, cfg, rng)
             pb = tournament_select(population, cfg, rng)
             c1, c2 = crossover(pa.mask, pb.mask, cfg, rng)
-            c1 = _ensure_nonempty(mutate(c1, cfg, rng), rng)
-            c2 = _ensure_nonempty(mutate(c2, cfg, rng), rng)
-            offspring.append(c1)
-            if len(offspring) < need:
-                offspring.append(c2)
-        population = elites + evaluate(offspring)
+            offspring += [mutate(c1, cfg, rng), mutate(c2, cfg, rng)]
+        population = elites + evaluate(offspring[:need])
 
 
 def exhaustive_best(
@@ -301,9 +288,10 @@ def exhaustive_best(
         raise ValueError(
             f"feature count {length} exceeds the exhaustive guard of {max_length}"
         )
+    shifts = np.arange(length)
     best = None  # (key, mask, fitness, hits, nf); the smallest key wins
     for m in range(1, 1 << length):
-        mask = FeatureMask(np.array([(m >> n) & 1 for n in range(length)], dtype=bool))
+        mask = FeatureMask((m >> shifts) & 1)
         fit, hits, nf = fitness(mask, train, eval_set, cfg)
         # bool bytes order like the 0/1 text, so equal-length masks compare
         # lexicographically

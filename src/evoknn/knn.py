@@ -2,7 +2,13 @@
 
 All operations are pure functions of immutable inputs; neighbour ordering and
 vote ties are fully specified so identical inputs always yield identical
-labels, regardless of evaluation order.
+labels, regardless of evaluation order.  ``k_nearest``, ``classify`` and
+``recognition_rate`` are one-query and whole-test-set calls of one kernel,
+``_knn``: it checks k, query shape and mask once, fills the squared-distance
+matrix row by row, orders each row's neighbours by a stable sort (distance
+ties go to the lower sample index) and votes for all rows at once.  A vote
+tie goes to the class whose voting neighbours have the smallest summed
+distance, then to the smaller class id, or to ``REJECT`` in reject mode.
 """
 
 from __future__ import annotations
@@ -107,47 +113,55 @@ def masked_distance(x, m, mask: FeatureMask) -> float:
     return math.sqrt(float(np.dot(diff, diff)))
 
 
-def _squared_distances(train_active: np.ndarray, x_active: np.ndarray) -> np.ndarray:
-    # squared distances are compared internally (monotone in the metric);
-    # square roots are taken only where a distance is reported or summed
-    diff = train_active - x_active
-    return np.einsum("ij,ij->i", diff, diff)
+def _knn(
+    train: Dataset, queries, k: int, mask: FeatureMask, reject_ties: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one query kernel: (neighbour indices, their d2, predicted class) per row.
 
-
-def _nearest_order(d2: np.ndarray) -> np.ndarray:
+    ``queries`` is (n_queries, feature_count).  Squared distances are compared
+    internally (monotone in the metric); square roots are taken only where a
+    distance is reported or summed.
+    """
+    if not 1 <= k <= train.n_samples:
+        raise ValueError(f"k must be in 1..{train.n_samples}, got {k}")
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != train.feature_count:
+        raise ValueError(f"queries must have the training set's {train.feature_count} features")
+    active = _check_mask(mask, train.feature_count)
+    train_active = train.features[:, active]
+    d2 = np.empty((queries.shape[0], train.n_samples))
+    for row, x in zip(d2, queries[:, active]):
+        diff = train_active - x
+        np.einsum("ij,ij->i", diff, diff, out=row)
     # stable sort: equal distances fall back to ascending sample index
-    return np.argsort(d2, kind="stable")
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    d2 = np.take_along_axis(d2, order, axis=1)
+
+    # one bincount over (query, class) cells counts every query's votes at once
+    n_queries, n_classes = d2.shape[0], len(train.classes)
+    cells = (np.arange(n_queries)[:, None] * n_classes + train.labels[order]).ravel()
+    counts = np.bincount(cells, minlength=n_queries * n_classes)
+    counts = counts.reshape(n_queries, n_classes)
+    tied = counts == counts.max(axis=1, keepdims=True)
+    if reject_ties:
+        predicted = np.where(tied.sum(axis=1) == 1, tied.argmax(axis=1), REJECT)
+    else:
+        # tie rule: smallest summed distance of the class's voting neighbours,
+        # added in neighbour order, then smallest class id
+        sums = np.bincount(cells, weights=np.sqrt(d2).ravel(), minlength=counts.size)
+        sums = sums.reshape(counts.shape)
+        closest = np.where(tied, sums, np.inf).min(axis=1, keepdims=True)
+        predicted = (tied & (sums == closest)).argmax(axis=1)
+    return order, d2, predicted
 
 
 def k_nearest(train: Dataset, x, k: int, mask: FeatureMask) -> list[Neighbor]:
     """The k closest training samples, ties broken by ascending sample index."""
-    if not 1 <= k <= train.n_samples:
-        raise ValueError(f"k must be in 1..{train.n_samples}, got {k}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (train.feature_count,):
-        raise ValueError("query length does not match the training feature count")
-    active = _check_mask(mask, train.feature_count)
-    d2 = _squared_distances(train.features[:, active], x[active])
-    order = _nearest_order(d2)[:k]
+    order, d2, _ = _knn(train, [x], k, mask)
     return [
-        Neighbor(int(i), math.sqrt(float(d2[i])), int(train.labels[i])) for i in order
+        Neighbor(int(i), math.sqrt(float(d)), int(train.labels[i]))
+        for i, d in zip(order[0], d2[0])
     ]
-
-
-def _vote(d2: np.ndarray, labels: np.ndarray, k: int, n_classes: int, reject_ties: bool) -> int:
-    idx = _nearest_order(d2)[:k]
-    votes = labels[idx]
-    counts = np.bincount(votes, minlength=n_classes)
-    top = counts.max()
-    tied = np.flatnonzero(counts == top)
-    if tied.size == 1:
-        return int(tied[0])
-    if reject_ties:
-        return REJECT
-    # tie rule: smallest summed distance of the class's voting neighbours,
-    # then smallest class id
-    dist_sums = np.bincount(votes, weights=np.sqrt(d2[idx]), minlength=n_classes)
-    return int(min(tied, key=lambda c: (dist_sums[c], c)))
 
 
 def classify(
@@ -158,14 +172,7 @@ def classify(
     With ``reject_ties=True`` an unresolved vote returns ``REJECT`` instead of
     applying the summed-distance/class-id tie rule.
     """
-    if not 1 <= k <= train.n_samples:
-        raise ValueError(f"k must be in 1..{train.n_samples}, got {k}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (train.feature_count,):
-        raise ValueError("query length does not match the training feature count")
-    active = _check_mask(mask, train.feature_count)
-    d2 = _squared_distances(train.features[:, active], x[active])
-    return _vote(d2, train.labels, k, len(train.classes), reject_ties)
+    return int(_knn(train, [x], k, mask, reject_ties)[2][0])
 
 
 def recognition_rate(
@@ -181,23 +188,9 @@ def recognition_rate(
     error listings can be reconstructed.  A rejected prediction never counts
     as a hit.
     """
-    if train.feature_count != test.feature_count:
-        raise ValueError("train and test feature counts differ")
     if train.classes != test.classes:
         raise ValueError("train and test class vocabularies differ")
-    if not 1 <= k <= train.n_samples:
-        raise ValueError(f"k must be in 1..{train.n_samples}, got {k}")
-    active = _check_mask(mask, train.feature_count)
-    train_active = train.features[:, active]
-    test_active = test.features[:, active]
-    n_classes = len(train.classes)
-
-    per_sample: list[tuple[int, int]] = []
-    hits = 0
-    for row, actual in zip(test_active, test.labels):
-        d2 = _squared_distances(train_active, row)
-        predicted = _vote(d2, train.labels, k, n_classes, reject_ties)
-        per_sample.append((predicted, int(actual)))
-        if predicted == actual:
-            hits += 1
+    predicted = _knn(train, test.features, k, mask, reject_ties)[2]
+    hits = int(np.count_nonzero(predicted == test.labels))
+    per_sample = list(zip(predicted.tolist(), test.labels.tolist()))
     return hits, hits / test.n_samples, per_sample

@@ -114,26 +114,33 @@ def test_select_writes_artifacts_and_replays_identically(data_dir, tmp_path, cap
     assert summary["generations_run"] == "25"
 
 
-# sha256 of trace.csv for the AC-7 problem below, recorded before the mask
-# types were merged; any refactor of the GA must keep reproducing it
-GOLDEN_TRACE_SHA256 = "2e6258d85a00c4a4865b4b3c14acc6c8b94e478c04e288f1b2090b8e86931314"
+# sha256 of select's artefacts, each recorded on the code before a refactor
+# of the GA or the k-NN kernel; every later change must keep reproducing them.
+# (synth flags, select flags, {artefact: sha256})
+GOLDEN_SELECT_RUNS = [
+    # the AC-7 problem, recorded before the mask types were merged
+    (["--classes", "4", "--features", "12", "--informative", "2,7", "--separation", "8",
+      "--seed", "11", "--train-per-class", "6", "--test-per-class", "3"],
+     ["--pop", "16", "--generations", "30", "--seed", "9", "--alpha", "0.5", "--beta", "0.5"],
+     {"trace.csv": "2e6258d85a00c4a4865b4b3c14acc6c8b94e478c04e288f1b2090b8e86931314"}),
+    # the paper's reference run (115 generations), recorded before the k-NN
+    # query paths were merged into one kernel
+    (["--seed", "12957"],
+     ["--seed", "12957", "--stop-on-fitness", "28.2"],
+     {"trace.csv": "b378d87d5f9cac5dfb11325a127f0ce774028056358d3faa71040ed877eec4fb",
+      "best_mask.txt": "8f2a0d911bd050d4b39ef957345d652b1cf07f80431e4a8a8d91869d81d22e75"}),
+]
 
 
 def test_select_trace_matches_golden_digest(tmp_path, capsys):
-    data = tmp_path / "data"
-    assert cli.main([
-        "synth", "--out-dir", str(data), "--classes", "4", "--features", "12",
-        "--informative", "2,7", "--separation", "8", "--seed", "11",
-        "--train-per-class", "6", "--test-per-class", "3",
-    ]) == 0
-    out = tmp_path / "run"
-    assert cli.main([
-        "select", str(data / "train.csv"), str(data / "test.csv"), "--out-dir", str(out),
-        "--pop", "16", "--generations", "30", "--seed", "9", "--alpha", "0.5", "--beta", "0.5",
-    ]) == 0
-    capsys.readouterr()
-    digest = hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN_TRACE_SHA256
+    for n, (synth_flags, select_flags, golden) in enumerate(GOLDEN_SELECT_RUNS):
+        data, out = tmp_path / f"data{n}", tmp_path / f"run{n}"
+        assert cli.main(["synth", "--out-dir", str(data)] + synth_flags) == 0
+        assert cli.main(["select", str(data / "train.csv"), str(data / "test.csv"),
+                         "--out-dir", str(out)] + select_flags) == 0
+        capsys.readouterr()
+        for name, want in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
 
 
 def test_select_stop_on_fitness_reports_target(data_dir, tmp_path, capsys):
@@ -395,6 +402,16 @@ def test_bad_mask_is_a_usage_error(data_dir, tmp_path, capsys):
     assert cli.main(["eval", train, test, "--mask", "0000111"]) == 2
     assert cli.main(["eval", train, test, "--mask", "1,,4"]) == 2
     capsys.readouterr()
+
+
+def test_bad_flag_values_are_usage_errors(data_dir, tmp_path, capsys):
+    # checked once after loading, before any work: the training set has 24 rows
+    train, test = str(data_dir / "train.csv"), str(data_dir / "test.csv")
+    for argv in (["eval", train, test, "--mask", "1,4", "--k", "999"],
+                 ["oracle", train, test, "--k", "0"],
+                 ["select", train, test, "--out-dir", str(tmp_path / "run"), "--pop", "0"]):
+        assert cli.main(argv) == 2, argv
+        assert "usage error:" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from evoknn.dataset import from_rows, unify_vocabulary
+from evoknn.dataset import Dataset, from_rows, unify_vocabulary
 from evoknn.knn import (
     REJECT,
     FeatureMask,
@@ -192,7 +192,8 @@ def test_rejected_samples_never_count_as_hits():
 # ----------------------------------------------------------- oracle equivalence
 
 def test_classify_matches_naive_oracle_on_random_integer_instances(rng):
-    """Exact agreement with an independent compute-all/sort/vote reference.
+    """Exact agreement of ``classify`` and ``recognition_rate`` with an
+    independent compute-all/sort/vote reference.
 
     Integer-valued features keep every squared distance exactly representable,
     so the comparison is meaningful even on manufactured distance ties.
@@ -216,13 +217,30 @@ def test_classify_matches_naive_oracle_on_random_integer_instances(rng):
             bits[int(rng.integers(0, length))] = True
         mask = FeatureMask(bits)
         active = [int(j) for j in mask.active_indices()]
+        queries = []
         for _ in range(4):
             q = rng.integers(-3, 4, size=length).astype(float)
+            queries.append(q)
             for reject in (False, True):
                 got = classify(train, q, k, mask, reject_ties=reject)
                 want = classify_oracle(rows.tolist(), train.labels.tolist(), q,
                                        k, active, len(train.classes),
                                        reject_ties=reject)
                 if got != want:
+                    mismatches += 1
+        # the same queries as one test set, through the path the GA scores with
+        actual = np.arange(4) % len(train.classes)
+        test = Dataset(np.array(queries), actual, train.classes)
+        for k_all in (1, 3, 5):
+            k_all = min(k_all, n_train)
+            for reject in (False, True):
+                hits, _, per_sample = recognition_rate(train, test, k_all, mask,
+                                                       reject_ties=reject)
+                want = [classify_oracle(rows.tolist(), train.labels.tolist(), q,
+                                        k_all, active, len(train.classes),
+                                        reject_ties=reject) for q in queries]
+                if per_sample != list(zip(want, actual.tolist())):
+                    mismatches += 1
+                if hits != sum(p == a for p, a in zip(want, actual.tolist())):
                     mismatches += 1
     assert mismatches == 0
