@@ -7,10 +7,8 @@ masked k-NN evaluation and 2D principal-component scatterplots.
 """
 
 from .dataset import (
-    ClassLabel,
     Dataset,
     DatasetError,
-    Sample,
     load_csv,
     normalize_minmax,
     split_random,
@@ -43,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "REJECT",
-    "ClassLabel",
     "Dataset",
     "DatasetError",
     "FeatureMask",
@@ -52,7 +49,6 @@ __all__ = [
     "Individual",
     "Neighbor",
     "ProjectionModel",
-    "Sample",
     "SynthSpec",
     "class_means",
     "classify",

@@ -64,7 +64,7 @@ def _write_manifest(pairs: list[tuple[str, object]], path) -> None:
 
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [int(tok) for tok in text.split(",")]
     except ValueError:
         raise UsageError(f"{what} must be a comma-separated list of integers: {text!r}")
 
@@ -73,9 +73,23 @@ def _load(path, args) -> Dataset:
     return load_csv(path, label_column=args.label_column, has_header=not args.no_header)
 
 
-def _check_k(k: int, train: Dataset) -> None:
-    if not 1 <= k <= train.n_samples:
-        raise UsageError(f"--k must be in 1..{train.n_samples}, got {k}")
+def _load_problem(args, *paths, normalize: bool = False) -> list[Dataset]:
+    """Load ``paths`` (training set first) onto one class vocabulary, before
+    any work: every file must have the training set's feature count (else a
+    data error naming the file) and ``--k`` must fit the training rows (else
+    a usage error).  ``normalize`` min-max scales all on the training bounds."""
+    loaded = [_load(path, args) for path in paths]
+    width = loaded[0].feature_count
+    for path, d in zip(paths[1:], loaded[1:]):
+        if d.feature_count != width:
+            raise DatasetError(f"{path} has {d.feature_count} features, "
+                               f"but training set {paths[0]} has {width}")
+    train, *others = unify_vocabulary(*loaded)
+    if not 1 <= args.k <= train.n_samples:
+        raise UsageError(f"--k must be in 1..{train.n_samples}, got {args.k}")
+    if normalize:
+        train, others, _ = normalize_minmax(train, others)
+    return [train, *others]
 
 
 def _ga_config(args, **fields) -> tuple[GaConfig, list[str]]:
@@ -216,21 +230,9 @@ def _ga_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def cmd_select(args) -> int:
-    train = _load(args.train, args)
-    eval_set = _load(args.eval, args)
-    train, eval_set = unify_vocabulary(train, eval_set)
-    holdout = None
-    if args.holdout:
-        holdout = _load(args.holdout, args)
-        train, holdout = unify_vocabulary(train, holdout)
-        _, eval_set = unify_vocabulary(train, eval_set)
-    _check_k(args.k, train)
-    if args.normalize:
-        others = [eval_set] + ([holdout] if holdout is not None else [])
-        train, scaled, _ = normalize_minmax(train, others)
-        eval_set = scaled[0]
-        if holdout is not None:
-            holdout = scaled[1]
+    paths = [args.train, args.eval] + ([args.holdout] if args.holdout else [])
+    train, eval_set, *rest = _load_problem(args, *paths, normalize=args.normalize)
+    holdout = rest[0] if rest else None
 
     cfg, caught = _ga_config(
         args,
@@ -314,13 +316,7 @@ def cmd_select(args) -> int:
 # ---------------------------------------------------------------- eval
 
 def cmd_eval(args) -> int:
-    train = _load(args.train, args)
-    test = _load(args.test, args)
-    train, test = unify_vocabulary(train, test)
-    _check_k(args.k, train)
-    if args.normalize:
-        train, scaled, _ = normalize_minmax(train, [test])
-        test = scaled[0]
+    train, test = _load_problem(args, args.train, args.test, normalize=args.normalize)
     mask = _parse_mask(args.mask, train.feature_count)
     hits, rate, per_sample = recognition_rate(
         train, test, args.k, mask, reject_ties=args.reject_ties
@@ -331,11 +327,10 @@ def cmd_eval(args) -> int:
     print(f"active_features = {mask.to_index_string()}")
     print(f"hits = {hits}")
     print(f"rate = {rate!r}")
-    names = [c.name for c in train.classes]
     for idx, (predicted, actual) in enumerate(per_sample):
-        pred_name = "REJECT" if predicted == REJECT else names[predicted]
+        pred_name = "REJECT" if predicted == REJECT else train.classes[predicted]
         marker = "" if predicted == actual else "\tMISS"
-        print(f"{idx}\t{pred_name}\t{names[actual]}{marker}")
+        print(f"{idx}\t{pred_name}\t{train.classes[actual]}{marker}")
     return EXIT_OK
 
 
@@ -374,7 +369,6 @@ def cmd_project(args) -> int:
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
-    names = [c.name for c in data.classes]
 
     manifest: list[tuple[str, object]] = [
         ("command", "project"),
@@ -391,12 +385,12 @@ def cmd_project(args) -> int:
             coords = data.features[:, [a, b]]
             pair_out = out.with_name(f"{out.stem}_pair_{a}_{b}{out.suffix or '.csv'}")
             _write_coords(pair_out, ["sample_index", "label_name", f"f{a}", f"f{b}"],
-                          coords, names, data.labels)
+                          coords, data.classes, data.labels)
             outputs.append(str(pair_out))
             if args.svg:
                 svg = Path(args.svg)
                 svg_out = svg.with_name(f"{svg.stem}_pair_{a}_{b}{svg.suffix or '.svg'}")
-                write_svg_scatter(svg_out, coords, data.labels, names,
+                write_svg_scatter(svg_out, coords, data.labels, data.classes,
                                   x_label=f"feature {a}", y_label=f"feature {b}")
                 outputs.append(str(svg_out))
         manifest.append(("pairs", ";".join(f"{a},{b}" for a, b in pairs)))
@@ -404,10 +398,10 @@ def cmd_project(args) -> int:
         model = fit_pca2(data, mask)
         coords = project_rows(model, data.features)
         _write_coords(out, ["sample_index", "label_name", "pc1", "pc2"],
-                      coords, names, data.labels)
+                      coords, data.classes, data.labels)
         outputs.append(str(out))
         if args.svg:
-            write_svg_scatter(args.svg, coords, data.labels, names,
+            write_svg_scatter(args.svg, coords, data.labels, data.classes,
                               x_label="pc1", y_label="pc2")
             outputs.append(str(args.svg))
         manifest += [
@@ -425,10 +419,7 @@ def cmd_project(args) -> int:
 # ---------------------------------------------------------------- oracle
 
 def cmd_oracle(args) -> int:
-    train = _load(args.train, args)
-    eval_set = _load(args.eval, args)
-    train, eval_set = unify_vocabulary(train, eval_set)
-    _check_k(args.k, train)
+    train, eval_set = _load_problem(args, args.train, args.eval)
     cfg, _ = _ga_config(args, seed=0)
     mask, fitness_value, hits, nf = exhaustive_best(
         train, eval_set, cfg, max_length=args.max_features

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -15,34 +15,18 @@ class DatasetError(ValueError):
 
 
 @dataclass(frozen=True)
-class ClassLabel:
-    """A class in the vocabulary: dense id plus its original name."""
-
-    id: int
-    name: str
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One labelled observation, viewed out of a dataset's storage."""
-
-    features: np.ndarray
-    label: int
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Immutable feature matrix with integer labels and a class vocabulary.
 
     ``features`` is (n_samples, feature_count) float64, ``labels`` is
-    (n_samples,) int with values indexing into ``classes``.  Class ids are
-    dense 0..c-1.  All arrays are write-protected after construction so the
-    dataset can be shared freely across concurrent readers.
+    (n_samples,) int, and ``classes`` is a tuple of unique, non-empty class
+    names: label ``c`` names ``classes[c]``.  All arrays are write-protected
+    after construction so the dataset can be shared freely across readers.
     """
 
     features: np.ndarray
     labels: np.ndarray
-    classes: tuple[ClassLabel, ...] = field(default=())
+    classes: tuple[str, ...] = ()
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -56,11 +40,7 @@ class Dataset:
         if not np.isfinite(feats).all():
             raise DatasetError("features contain NaN or infinite values")
         classes = tuple(self.classes)
-        ids = [c.id for c in classes]
-        if ids != list(range(len(classes))):
-            raise DatasetError("class ids must be dense 0..c-1 in order")
-        names = [c.name for c in classes]
-        if len(set(names)) != len(names) or any(not n for n in names):
+        if len(set(classes)) != len(classes) or any(not n for n in classes):
             raise DatasetError("class names must be unique and non-empty")
         if labs.size and (labs.min() < 0 or labs.max() >= len(classes)):
             raise DatasetError("sample label outside the class vocabulary")
@@ -78,20 +58,6 @@ class Dataset:
     def feature_count(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def class_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.classes)
-
-    def sample(self, i: int) -> Sample:
-        """Row ``i`` as a Sample (a read-only view, not a copy)."""
-        return Sample(self.features[i], int(self.labels[i]))
-
-    def __iter__(self):
-        return (self.sample(i) for i in range(self.n_samples))
-
-    def __len__(self) -> int:
-        return self.n_samples
-
 
 def from_rows(rows: Sequence[Sequence[float]], label_names: Sequence[str]) -> Dataset:
     """Build a Dataset from feature rows and per-row label names.
@@ -107,8 +73,7 @@ def from_rows(rows: Sequence[Sequence[float]], label_names: Sequence[str]) -> Da
         if name not in order:
             order[name] = len(order)
         labels.append(order[name])
-    classes = tuple(ClassLabel(i, n) for n, i in order.items())
-    return Dataset(np.asarray(rows, dtype=np.float64), np.asarray(labels), classes)
+    return Dataset(np.asarray(rows, dtype=np.float64), np.asarray(labels), tuple(order))
 
 
 def load_csv(path, label_column="label", has_header: bool = True) -> Dataset:
@@ -117,10 +82,11 @@ def load_csv(path, label_column="label", has_header: bool = True) -> Dataset:
     ``label_column`` selects the label column by header name or 0-based
     index (an int, or a digit string when there is no header).  Remaining
     columns become features in file order.  Blank lines are ignored; a
-    ragged or non-numeric row is reported with its 1-based row number.
+    ragged or non-numeric row is reported with its 1-based row number.  A
+    leading UTF-8 byte-order mark is skipped.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         raw = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
     if not raw:
         raise DatasetError(f"{path}: empty file")
@@ -198,7 +164,7 @@ def write_csv(d: Dataset, path, include_header: bool = True, label_name: str = "
         if include_header:
             writer.writerow([f"f{j}" for j in range(d.feature_count)] + [label_name])
         for row, lab in zip(d.features, d.labels):
-            writer.writerow([repr(float(v)) for v in row] + [d.classes[lab].name])
+            writer.writerow([repr(float(v)) for v in row] + [d.classes[lab]])
 
 
 def split_random(
@@ -244,22 +210,23 @@ def _stratified_pick(labels, n_classes, test_count, rng) -> np.ndarray:
     return np.asarray(sorted(picked), dtype=np.intp)
 
 
-def unify_vocabulary(a: Dataset, b: Dataset) -> tuple[Dataset, Dataset]:
-    """Remap two datasets onto one shared class vocabulary, matching by name.
+def unify_vocabulary(*datasets: Dataset) -> tuple[Dataset, ...]:
+    """Remap datasets onto one shared class vocabulary, matching by name.
 
-    Needed after loading train/test from separate files, where first-appearance
-    ids were assigned per file.  ``a``'s ordering wins; names only present in
-    ``b`` are appended.
+    Needed after loading datasets from separate files, where first-appearance
+    ids were assigned per file.  The first dataset's order wins; names first
+    seen in a later dataset are appended in argument order.
     """
-    order: dict[str, int] = {c.name: c.id for c in a.classes}
-    for c in b.classes:
-        if c.name not in order:
-            order[c.name] = len(order)
-    classes = tuple(ClassLabel(i, n) for n, i in order.items())
-    remap_b = np.asarray([order[c.name] for c in b.classes], dtype=np.intp)
-    a2 = Dataset(a.features, a.labels, classes)
-    b2 = Dataset(b.features, remap_b[b.labels], classes)
-    return a2, b2
+    order: dict[str, int] = {}
+    for d in datasets:
+        for name in d.classes:
+            order.setdefault(name, len(order))
+    classes = tuple(order)
+    remapped = []
+    for d in datasets:
+        remap = np.asarray([order[name] for name in d.classes], dtype=np.intp)
+        remapped.append(Dataset(d.features, remap[d.labels], classes))
+    return tuple(remapped)
 
 
 def normalize_minmax(

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import ClassLabel, Dataset
+from .dataset import Dataset
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def _sample_block(
             noise = _standard_normal(rng, spec.n_features)
             rows.append(means[c] + spec.noise_sd * noise)
             labels.append(c)
-    classes = tuple(ClassLabel(c, f"c{c}") for c in range(spec.n_classes))
+    classes = tuple(f"c{c}" for c in range(spec.n_classes))
     return Dataset(np.asarray(rows), np.asarray(labels), classes)
 
 

@@ -81,6 +81,7 @@ def test_synth_usage_errors(tmp_path, capsys):
     assert cli.main(base + ["--classes", "2", "--informative", "0",
                             "--class-sizes", "5,5", "--test-count", "10"]) == 2
     assert cli.main(base + ["--informative", "0,zap"]) == 2
+    assert cli.main(base + ["--informative", "1,,4"]) == 2  # empty item
     capsys.readouterr()
 
 
@@ -361,6 +362,7 @@ def test_project_pair_usage_errors(data_dir, tmp_path, capsys):
     assert cli.main(["project", train, "--pair", "1", "--out", out]) == 2
     assert cli.main(["project", train, "--pair", "2,2", "--out", out]) == 2
     assert cli.main(["project", train, "--pair", "0,9", "--out", out]) == 2
+    assert cli.main(["project", train, "--pair", "1,4,", "--out", out]) == 2
     capsys.readouterr()
 
 
@@ -412,6 +414,27 @@ def test_bad_flag_values_are_usage_errors(data_dir, tmp_path, capsys):
                  ["select", train, test, "--out-dir", str(tmp_path / "run"), "--pop", "0"]):
         assert cli.main(argv) == 2, argv
         assert "usage error:" in capsys.readouterr().err
+
+
+def test_feature_count_mismatch_is_a_data_error_before_any_work(data_dir, tmp_path, capsys):
+    # every file must have the training set's 6 features; the check names the
+    # odd file and runs before the GA, so select leaves no artefact behind
+    other = tmp_path / "other"
+    assert cli.main(["synth", "--out-dir", str(other), "--classes", "3",
+                     "--features", "4", "--informative", "1",
+                     "--train-per-class", "3", "--test-per-class", "2"]) == 0
+    train, test = str(data_dir / "train.csv"), str(data_dir / "test.csv")
+    wrong = str(other / "test.csv")
+    run = tmp_path / "run"
+    for argv in (["eval", train, wrong, "--mask", "1,4"],
+                 ["select", train, wrong, "--out-dir", str(run)] + SELECT_FLAGS,
+                 ["select", train, test, "--holdout", wrong, "--out-dir", str(run)]
+                 + SELECT_FLAGS,
+                 ["oracle", train, wrong]):
+        capsys.readouterr()
+        assert cli.main(argv) == 1, argv
+        assert wrong in capsys.readouterr().err, argv
+        assert list(run.glob("*")) == [], argv
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+import evoknn
 from evoknn.dataset import (
-    ClassLabel,
     Dataset,
     DatasetError,
     from_rows,
@@ -16,23 +16,17 @@ from evoknn.dataset import (
 )
 
 
+def test_public_api_names_are_importable():
+    for name in evoknn.__all__:
+        assert getattr(evoknn, name) is not None, name
+
+
 def test_from_rows_assigns_ids_by_first_appearance():
     d = from_rows([[1, 2], [3, 4], [5, 6], [7, 8]], ["dog", "cat", "dog", "eel"])
-    assert d.class_names == ("dog", "cat", "eel")
+    assert d.classes == ("dog", "cat", "eel")
     assert d.labels.tolist() == [0, 1, 0, 2]
     assert d.n_samples == 4
     assert d.feature_count == 2
-    assert len(d) == 4
-
-
-def test_sample_view_and_iteration():
-    d = from_rows([[1.0, 2.0], [3.0, 4.0]], ["a", "b"])
-    s = d.sample(1)
-    assert s.features.tolist() == [3.0, 4.0]
-    assert s.label == 1
-    assert [x.label for x in d] == [0, 1]
-    with pytest.raises(ValueError):
-        s.features[0] = 0.0  # views inherit the write protection
 
 
 def test_dataset_arrays_are_write_protected():
@@ -47,18 +41,15 @@ def test_dataset_rejects_bad_shapes_and_values():
     with pytest.raises(DatasetError):
         Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), ())
     with pytest.raises(DatasetError):
-        Dataset(np.zeros(4), np.zeros(4, dtype=int), (ClassLabel(0, "a"),))
+        Dataset(np.zeros(4), np.zeros(4, dtype=int), ("a",))
     with pytest.raises(DatasetError):
-        Dataset(np.array([[np.nan, 1.0]]), np.array([0]), (ClassLabel(0, "a"),))
+        Dataset(np.array([[np.nan, 1.0]]), np.array([0]), ("a",))
     with pytest.raises(DatasetError):
-        Dataset(np.array([[np.inf, 1.0]]), np.array([0]), (ClassLabel(0, "a"),))
+        Dataset(np.array([[np.inf, 1.0]]), np.array([0]), ("a",))
     with pytest.raises(DatasetError):  # label outside vocabulary
-        Dataset(np.ones((2, 2)), np.array([0, 1]), (ClassLabel(0, "a"),))
-    with pytest.raises(DatasetError):  # non-dense ids
-        Dataset(np.ones((1, 2)), np.array([0]), (ClassLabel(1, "a"),))
+        Dataset(np.ones((2, 2)), np.array([0, 1]), ("a",))
     with pytest.raises(DatasetError):  # duplicate names
-        Dataset(np.ones((1, 2)), np.array([0]),
-                (ClassLabel(0, "a"), ClassLabel(1, "a")))
+        Dataset(np.ones((1, 2)), np.array([0]), ("a", "a"))
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -68,28 +59,34 @@ def test_csv_round_trip_is_exact(tmp_path):
     path = tmp_path / "data.csv"
     write_csv(original, path)
     loaded = load_csv(path)
-    assert loaded.class_names == original.class_names
+    assert loaded.classes == original.classes
     assert loaded.labels.tolist() == original.labels.tolist()
     assert np.array_equal(loaded.features, original.features)  # bitwise
 
 
 def test_load_csv_without_header(tmp_path):
-    path = tmp_path / "plain.csv"
-    path.write_text("1.5,2.5,red\n3.5,4.5,blue\n")
-    d = load_csv(path, label_column="2", has_header=False)
-    assert d.class_names == ("red", "blue")
-    assert d.features.tolist() == [[1.5, 2.5], [3.5, 4.5]]
+    text = "1.5,2.5,red\n3.5,4.5,blue\n"
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")  # a leading byte-order mark
+    for path in (plain, bom):
+        d = load_csv(path, label_column="2", has_header=False)
+        assert d.classes == ("red", "blue")
+        assert d.features.tolist() == [[1.5, 2.5], [3.5, 4.5]]
 
 
 def test_load_csv_label_column_by_name_index_and_negative(tmp_path):
-    path = tmp_path / "lab.csv"
-    path.write_text("kind,x,y\nup,1,2\ndown,3,4\n")
-    by_name = load_csv(path, label_column="kind")
-    by_index = load_csv(path, label_column=0)
-    by_negative = load_csv(path, label_column=-3)
-    for d in (by_name, by_index, by_negative):
-        assert d.class_names == ("up", "down")
-        assert d.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    text = "kind,x,y\nup,1,2\ndown,3,4\n"
+    plain, bom = tmp_path / "lab.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")  # the mark precedes "kind"
+    for path in (plain, bom):
+        by_name = load_csv(path, label_column="kind")
+        by_index = load_csv(path, label_column=0)
+        by_negative = load_csv(path, label_column=-3)
+        for d in (by_name, by_index, by_negative):
+            assert d.classes == ("up", "down")
+            assert d.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_load_csv_errors(tmp_path):
@@ -148,8 +145,8 @@ def test_split_random_partitions_and_is_deterministic():
     ids = sorted(train1.features[:, 0].tolist() + test1.features[:, 0].tolist())
     assert ids == [float(i) for i in range(30)]
     # both sides keep the full vocabulary
-    assert train1.class_names == d.class_names
-    assert test1.class_names == d.class_names
+    assert train1.classes == d.classes
+    assert test1.classes == d.classes
 
     train3, test3 = split_random(d, 7, seed=43)
     assert not np.array_equal(test1.features, test3.features)
@@ -182,11 +179,14 @@ def test_split_stratified_uses_largest_remainder():
 def test_unify_vocabulary_remaps_by_name():
     a = from_rows([[1.0, 0.0], [2.0, 0.0]], ["x", "y"])
     b = from_rows([[3.0, 0.0], [4.0, 0.0], [5.0, 0.0]], ["y", "x", "z"])
-    a2, b2 = unify_vocabulary(a, b)
-    assert a2.class_names == ("x", "y", "z")
-    assert b2.class_names == ("x", "y", "z")
+    c = from_rows([[6.0, 0.0], [7.0, 0.0]], ["w", "z"])
+    a2, b2, c2 = unify_vocabulary(a, b, c)
+    # the first dataset's order wins; later new names follow in argument order
+    for d in (a2, b2, c2):
+        assert d.classes == ("x", "y", "z", "w")
     assert a2.labels.tolist() == [0, 1]
     assert b2.labels.tolist() == [1, 0, 2]
+    assert c2.labels.tolist() == [3, 2]
     assert np.array_equal(b2.features, b.features)
 
 

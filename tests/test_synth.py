@@ -55,7 +55,7 @@ def test_generate_is_deterministic_and_counts_match():
     assert train1.n_samples == 42 and test1.n_samples == 12
     assert np.bincount(train1.labels).tolist() == [7] * 6
     assert np.bincount(test1.labels).tolist() == [2] * 6
-    assert train1.class_names == tuple(f"c{i}" for i in range(6))
+    assert train1.classes == tuple(f"c{i}" for i in range(6))
 
     other = generate(SynthSpec(n_classes=6, n_features=20, informative=(3, 11),
                                train_per_class=7, test_per_class=2, seed=124))
