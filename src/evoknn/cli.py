@@ -108,8 +108,9 @@ def _ga_config(args, **fields) -> tuple[GaConfig, list[str]]:
 
 
 def _parse_mask(value: str, feature_count: int) -> FeatureMask:
-    """A 0/1 string of exactly ``feature_count`` characters is a bit string;
-    anything else must be a comma list of canonical decimal indices."""
+    """A 0/1 string of exactly ``feature_count`` characters with at least one
+    ``1`` is a bit string; anything else must be a comma list of canonical
+    decimal indices (so ``0`` on one feature is feature 0)."""
     source = value
     p = Path(value)
     if p.is_file():
@@ -119,7 +120,7 @@ def _parse_mask(value: str, feature_count: int) -> FeatureMask:
             raise UsageError(f"mask file {value} is empty")
         source = lines[0]
     source = source.strip()
-    if len(source) == feature_count and set(source) <= {"0", "1"}:
+    if len(source) == feature_count and set(source) <= {"0", "1"} and "1" in source:
         return FeatureMask.from_string(source)
     tokens = [tok.strip() for tok in source.split(",")]
     if not all(re.fullmatch(r"0|[1-9][0-9]*", tok) for tok in tokens):

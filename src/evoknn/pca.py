@@ -1,16 +1,17 @@
 """Two-component PCA for 2D scatterplot projection.
 
-The top two eigenpairs of the sample covariance matrix (divisor n-1) are
-extracted by cyclic threshold-Jacobi rotations, a deterministic iterative
-diagonalisation driven until the off-diagonal norm falls below a relative
-residual.  Axes follow a fixed sign convention (first component above 1e-12
-in magnitude is positive) so repeated fits are bit-identical and degenerate
+The top two eigenpairs of the sample covariance matrix (divisor n-1) come
+from one ``numpy.linalg.eigh`` call.  The covariance is summed with
+``einsum`` rather than the ``centred.T @ centred`` matrix product: einsum
+does not go through BLAS, whose threaded product splits the sums by thread
+count, so the covariance has the same bits however many threads BLAS uses.
+Axes follow a fixed sign convention (first component above 1e-12 in
+magnitude is positive) so repeated fits are bit-identical and degenerate
 eigenvalue pairs still resolve to a reproducible basis.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,55 +55,6 @@ class ProjectionModel:
         return self.mean.size
 
 
-def _jacobi_eigh(a: np.ndarray, residual: float, max_sweeps: int = 60):
-    """Diagonalise a symmetric matrix by cyclic Jacobi rotations.
-
-    Stops once the off-diagonal Frobenius norm is at most ``residual`` times
-    the matrix norm.  Returns (eigenvalues, eigenvector columns) in the
-    internal (unsorted) order.
-    """
-    a = np.array(a, dtype=np.float64)
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = math.sqrt(float((a * a).sum()))
-    if scale == 0.0:
-        return np.zeros(n), v
-    target = residual * scale
-    skip = target / (2.0 * n)  # elements this small cannot keep off-norm above target
-    for _ in range(max_sweeps):
-        off2 = float((a * a).sum()) - float((np.diagonal(a) ** 2).sum())
-        if off2 <= target * target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    root = math.sqrt(theta * theta + 1.0)
-                    t = 1.0 / (theta + root) if theta >= 0 else 1.0 / (theta - root)
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                bp = a[p, :].copy()
-                bq = a[q, :].copy()
-                a[p, :] = c * bp - s * bq
-                a[q, :] = s * bp + c * bq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return np.diagonal(a).copy(), v
-
-
 def _fix_sign(axis: np.ndarray) -> np.ndarray:
     for value in axis:
         if abs(value) > 1e-12:
@@ -110,9 +62,7 @@ def _fix_sign(axis: np.ndarray) -> np.ndarray:
     return axis
 
 
-def fit_pca2(
-    d: Dataset, mask: Optional[FeatureMask] = None, residual: float = 1e-10
-) -> ProjectionModel:
+def fit_pca2(d: Dataset, mask: Optional[FeatureMask] = None) -> ProjectionModel:
     """Fit the two dominant principal components of a (possibly masked) dataset.
 
     The covariance uses divisor n-1 over the active features only; the
@@ -132,25 +82,18 @@ def fit_pca2(
 
     x = d.features[:, indices]
     centred = x - x.mean(axis=0)
-    cov = centred.T @ centred / (d.n_samples - 1)
-    values, vectors = _jacobi_eigh(cov, residual)
+    cov = np.einsum("ki,kj->ij", centred, centred) / (d.n_samples - 1)
+    values, vectors = np.linalg.eigh(cov)
     order = np.argsort(-values, kind="stable")[:2]
 
     axes = np.zeros((2, d.feature_count))
-    eigenvalues = []
-    for row, j in enumerate(order):
-        vec = vectors[:, j]
-        vec = vec / math.sqrt(float(vec @ vec))
-        axes[row, indices] = vec
-        axes[row] = _fix_sign(axes[row])
-        eigenvalues.append(max(float(values[j]), 0.0))
-
+    axes[:, indices] = vectors[:, order].T
     return ProjectionModel(
         mean=d.features.mean(axis=0),
-        axis1=axes[0],
-        axis2=axes[1],
-        eigenvalue1=eigenvalues[0],
-        eigenvalue2=eigenvalues[1],
+        axis1=_fix_sign(axes[0]),
+        axis2=_fix_sign(axes[1]),
+        eigenvalue1=max(float(values[order[0]]), 0.0),
+        eigenvalue2=max(float(values[order[1]]), 0.0),
     )
 
 
@@ -159,8 +102,8 @@ def project(model: ProjectionModel, x) -> tuple[float, float]:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.feature_count,):
         raise ValueError("sample length does not match the model")
-    centred = x - model.mean
-    return float(model.axis1 @ centred), float(model.axis2 @ centred)
+    pc1, pc2 = project_rows(model, x[None, :])[0]
+    return float(pc1), float(pc2)
 
 
 def project_rows(model: ProjectionModel, rows: np.ndarray) -> np.ndarray:

@@ -74,3 +74,44 @@ def exhaustive_oracle(train_rows, train_labels, test_rows, test_labels,
         if best is None or key < best[0]:
             best = (key, bits, fit, hits, nf)
     return best[1], best[2], best[3], best[4]
+
+
+def jacobi_eigh(a, residual, max_sweeps=60):
+    """Diagonalise a symmetric matrix by cyclic threshold-Jacobi rotations
+    (Golub & Van Loan, *Matrix Computations*, section 8.5).
+
+    Stops once the off-diagonal Frobenius norm is at most ``residual`` times
+    the matrix norm.  Returns (eigenvalues, V) in the internal (unsorted)
+    order, where V is a list of rows whose column j is eigenvector j.
+    """
+    a = [[float(x) for x in row] for row in a]
+    n = len(a)
+    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    scale = math.sqrt(sum(x * x for row in a for x in row))
+    if scale == 0.0:
+        return [0.0] * n, v
+    target = residual * scale
+    skip = target / (2.0 * n)  # elements this small cannot keep off-norm above target
+    for _ in range(max_sweeps):
+        off2 = sum(a[i][j] ** 2 for i in range(n) for j in range(n) if i != j)
+        if off2 <= target * target:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if abs(apq) <= skip:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                if abs(theta) > 1e150:
+                    t = 1.0 / (2.0 * theta)
+                else:
+                    root = math.sqrt(theta * theta + 1.0)
+                    t = 1.0 / (theta + root) if theta >= 0 else 1.0 / (theta - root)
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                for row in a + v:  # rotate columns p and q
+                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+                a[p], a[q] = ([c * x - s * y for x, y in zip(a[p], a[q])],
+                              [s * x + c * y for x, y in zip(a[p], a[q])])
+                a[p][q] = a[q][p] = 0.0
+    return [a[i][i] for i in range(n)], v

@@ -1,10 +1,15 @@
 """End-to-end command-line behaviour: artefacts, replays, exit codes."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from evoknn import cli
 from evoknn.dataset import load_csv, unify_vocabulary
@@ -323,6 +328,28 @@ def test_project_replay_is_byte_identical(data_dir, tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_project_bytes_do_not_depend_on_blas_thread_count(tmp_path, capsys):
+    # A threaded BLAS product splits its sums by thread count, so a covariance
+    # formed through one changes in its last bits between 1 and 2 OpenBLAS
+    # threads. Two processes write the same paths one after the other. On a
+    # 1-core host both runs use one thread and this test cannot fail.
+    pool = tmp_path / "pool"
+    assert cli.main(["synth", "--out-dir", str(pool), "--seed", "12957"]) == 0
+    capsys.readouterr()
+    viz = tmp_path / "viz"
+    argv = [sys.executable, "-m", "evoknn.cli", "project", str(pool / "train.csv"),
+            "--out", str(viz / "c.csv"), "--svg", str(viz / "s.svg")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        subprocess.run(argv, env=env, check=True, capture_output=True, timeout=120)
+        runs.append([(viz / name).read_bytes()
+                     for name in ("c.csv", "s.svg", "c.manifest.txt")])
+    assert runs[0] == runs[1]
+
+
 def test_project_explicit_pairs(data_dir, tmp_path, capsys):
     out = tmp_path / "p.csv"
     code = cli.main(["project", str(data_dir / "train.csv"),
@@ -403,7 +430,25 @@ def test_bad_mask_is_a_usage_error(data_dir, tmp_path, capsys):
     assert cli.main(["eval", train, test, "--mask", "01"]) == 2
     assert cli.main(["eval", train, test, "--mask", "0000111"]) == 2
     assert cli.main(["eval", train, test, "--mask", "1,,4"]) == 2
+    # all zeros selects nothing, so it is no bit string; as an index list its
+    # leading zeros make it a usage error rather than an empty-mask data error
+    assert cli.main(["eval", train, test, "--mask", "000000"]) == 2
     capsys.readouterr()
+
+
+@st.composite
+def masks(draw):
+    length = draw(st.integers(1, 130))
+    active = draw(st.sets(st.integers(0, length - 1), min_size=1))
+    return FeatureMask.from_indices(sorted(active), length)
+
+
+@settings(derandomize=True, database=None)
+@example(FeatureMask.from_string("1"))  # its index form "0" is also a 0/1 string of length L
+@given(masks())
+def test_mask_text_forms_parse_back_to_the_same_mask(mask):
+    for text in (mask.to_string(), mask.to_index_string()):
+        assert cli._parse_mask(text, mask.length) == mask
 
 
 def test_bad_flag_values_are_usage_errors(data_dir, tmp_path, capsys):

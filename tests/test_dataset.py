@@ -1,5 +1,9 @@
 """Dataset construction, CSV round-trips, splitting, vocabulary, scaling."""
 
+import ast
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +23,22 @@ from evoknn.dataset import (
 def test_public_api_names_are_importable():
     for name in evoknn.__all__:
         assert getattr(evoknn, name) is not None, name
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # scipy and friends may be installed where the tests run; an import of
+    # them would pass every other test there and fail on a numpy-only install
+    allowed = set(sys.stdlib_module_names) | {"numpy", "evoknn"}
+    for path in sorted(Path(evoknn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["evoknn" if node.level else node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
 
 
 def test_from_rows_assigns_ids_by_first_appearance():
