@@ -3,12 +3,13 @@
 Every artefact-producing command writes a flat key-value manifest echoing its
 effective parameters (seed included), and all CSV artefacts replay
 byte-identically from the manifest's parameters.  Exit codes: 0 success,
-2 usage errors, 1 data errors.
+2 usage errors, 1 data errors, 141 when stdout's reader has closed the pipe.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 import time
@@ -36,6 +37,7 @@ from .synth import SynthSpec, generate, generate_pool
 EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a closed pipe
 
 # default pool: 14 class sizes summing to 237, split 187/50 by --test-count
 DEFAULT_CLASS_SIZES = (20, 20, 8, 4, 20, 20, 20, 20, 20, 15, 20, 10, 20, 20)
@@ -108,17 +110,33 @@ def _ga_config(args, **fields) -> tuple[GaConfig, list[str]]:
 
 
 def _parse_mask(value: str, feature_count: int) -> FeatureMask:
-    """A 0/1 string of exactly ``feature_count`` characters with at least one
-    ``1`` is a bit string; anything else must be a comma list of canonical
-    decimal indices (so ``0`` on one feature is feature 0)."""
-    source = value
-    p = Path(value)
-    if p.is_file():
-        lines = [ln.strip() for ln in p.read_text(encoding="utf-8").splitlines()]
+    """Mask text, or a file whose first non-comment line is mask text.
+
+    A value that is valid mask text and also names a file has two readings,
+    so it is a usage error; ``./70`` names the file ``70``."""
+    path = Path(value)
+    if not path.is_file():
+        return _parse_mask_text(value, value, feature_count)
+    try:
+        mask = _parse_mask_text(value, value, feature_count)
+    except UsageError:
+        lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()]
         lines = [ln for ln in lines if ln and not ln.startswith("#")]
         if not lines:
             raise UsageError(f"mask file {value} is empty")
-        source = lines[0]
+        return _parse_mask_text(lines[0], value, feature_count)
+    raise UsageError(
+        f"--mask {value!r} is ambiguous: it reads as features "
+        f"{mask.to_index_string()} and also names a file; write ./{value} "
+        "to read the file"
+    )
+
+
+def _parse_mask_text(source: str, value: str, feature_count: int) -> FeatureMask:
+    """A 0/1 string of exactly ``feature_count`` characters with at least one
+    ``1`` is a bit string; anything else must be a comma list of canonical
+    decimal indices (so ``0`` on one feature is feature 0).  ``value`` is
+    what the user wrote, for messages."""
     source = source.strip()
     if len(source) == feature_count and set(source) <= {"0", "1"} and "1" in source:
         return FeatureMask.from_string(source)
@@ -534,10 +552,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader of stdout has gone, as with `| head`: no error to report.
+        # Unflushed output then goes to devnull, so the exit flush is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (DatasetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -4,11 +4,16 @@ All operations are pure functions of immutable inputs; neighbour ordering and
 vote ties are fully specified so identical inputs always yield identical
 labels, regardless of evaluation order.  ``k_nearest``, ``classify`` and
 ``recognition_rate`` are one-query and whole-test-set calls of one kernel,
-``_knn``: it checks k, query shape and mask once, fills the squared-distance
-matrix row by row, orders each row's neighbours by a stable sort (distance
-ties go to the lower sample index) and votes for all rows at once.  A vote
-tie goes to the class whose voting neighbours have the smallest summed
-distance, then to the smaller class id, or to ``REJECT`` in reject mode.
+``_knn``: it checks k, query shape and mask once, then fills the
+(queries x train) squared-distance matrix one active feature at a time, in
+ascending feature order.  Each distance is therefore the plain left-to-right
+sum a scalar loop makes, whatever order a library routine would choose.  The
+k neighbours of every row come from k argmin passes, so distance ties go to
+the lower sample index.  That costs O(k * queries * train) where a sort costs
+O(queries * train * log train); the paper and its workloads use k <= 3.  All
+rows vote at once.  A vote tie goes to the class whose voting neighbours have
+the smallest summed distance, then to the smaller class id, or to ``REJECT``
+in reject mode.
 """
 
 from __future__ import annotations
@@ -128,18 +133,31 @@ def _knn(
     if queries.ndim != 2 or queries.shape[1] != train.feature_count:
         raise ValueError(f"queries must have the training set's {train.feature_count} features")
     active = _check_mask(mask, train.feature_count)
-    train_active = train.features[:, active]
-    d2 = np.empty((queries.shape[0], train.n_samples))
-    for row, x in zip(d2, queries[:, active]):
-        diff = train_active - x
-        np.einsum("ij,ij->i", diff, diff, out=row)
-    # stable sort: equal distances fall back to ascending sample index
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    d2 = np.take_along_axis(d2, order, axis=1)
+    n_queries, n_classes = queries.shape[0], len(train.classes)
+    # one squared term per active feature, in ascending feature order.  A sum
+    # too large for a double is +inf, which orders last, so it is no error.
+    d2 = np.zeros((n_queries, train.n_samples))
+    term = np.empty_like(d2)
+    with np.errstate(over="ignore"):
+        for j in active:
+            np.subtract.outer(queries[:, j], train.features[:, j], out=term)
+            d2 += np.square(term, out=term)
+
+    # k argmin passes over the bit patterns, which order non-negative doubles
+    # (+inf included) as their values do; argmin returns the first index of a
+    # tie, so equal distances go to the lower sample index.  A pick is retired
+    # with the largest int64, which lies above +inf's pattern.
+    rows = np.arange(n_queries)
+    keys = d2.view(np.int64)
+    order = np.empty((n_queries, k), dtype=np.intp)
+    near = np.empty((n_queries, k))
+    for i in range(k):
+        order[:, i] = pick = keys.argmin(axis=1)
+        near[:, i] = d2[rows, pick]
+        keys[rows, pick] = np.iinfo(np.int64).max
 
     # one bincount over (query, class) cells counts every query's votes at once
-    n_queries, n_classes = d2.shape[0], len(train.classes)
-    cells = (np.arange(n_queries)[:, None] * n_classes + train.labels[order]).ravel()
+    cells = (rows[:, None] * n_classes + train.labels[order]).ravel()
     counts = np.bincount(cells, minlength=n_queries * n_classes)
     counts = counts.reshape(n_queries, n_classes)
     tied = counts == counts.max(axis=1, keepdims=True)
@@ -148,11 +166,11 @@ def _knn(
     else:
         # tie rule: smallest summed distance of the class's voting neighbours,
         # added in neighbour order, then smallest class id
-        sums = np.bincount(cells, weights=np.sqrt(d2).ravel(), minlength=counts.size)
+        sums = np.bincount(cells, weights=np.sqrt(near).ravel(), minlength=counts.size)
         sums = sums.reshape(counts.shape)
         closest = np.where(tied, sums, np.inf).min(axis=1, keepdims=True)
         predicted = (tied & (sums == closest)).argmax(axis=1)
-    return order, d2, predicted
+    return order, near, predicted
 
 
 def k_nearest(train: Dataset, x, k: int, mask: FeatureMask) -> list[Neighbor]:

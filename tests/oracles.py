@@ -12,14 +12,12 @@ import math
 REJECT = -1
 
 
-def classify_oracle(train_rows, train_labels, x, k, active, n_classes,
-                    reject_ties=False):
-    """Compute-all / sort / vote nearest-neighbour reference.
+def nearest_oracle(train_rows, x, k, active):
+    """The k nearest training rows as (sample index, squared distance) pairs.
 
-    ``active`` is the list of feature indices entering the metric.  Distance
-    ties fall back to ascending sample index; vote ties go to the class whose
-    voting neighbours have the smallest summed distance, then to the smaller
-    class id (or to REJECT when ``reject_ties``).
+    ``active`` is the list of feature indices entering the metric; each
+    squared distance is summed over them in the order given.  Distance ties
+    fall back to ascending sample index.
     """
     d2 = []
     for row in train_rows:
@@ -29,12 +27,23 @@ def classify_oracle(train_rows, train_labels, x, k, active, n_classes,
             s += diff * diff
         d2.append(s)
     order = sorted(range(len(train_rows)), key=lambda i: (d2[i], i))[:k]
+    return [(i, d2[i]) for i in order]
+
+
+def classify_oracle(train_rows, train_labels, x, k, active, n_classes,
+                    reject_ties=False):
+    """Compute-all / sort / vote nearest-neighbour reference.
+
+    Neighbours come from ``nearest_oracle``; vote ties go to the class whose
+    voting neighbours have the smallest summed distance, then to the smaller
+    class id (or to REJECT when ``reject_ties``).
+    """
     counts = [0] * n_classes
     dist_sums = [0.0] * n_classes
-    for i in order:
+    for i, d2 in nearest_oracle(train_rows, x, k, active):
         c = int(train_labels[i])
         counts[c] += 1
-        dist_sums[c] += math.sqrt(d2[i])
+        dist_sums[c] += math.sqrt(d2)
     top = max(counts)
     tied = [c for c in range(n_classes) if counts[c] == top]
     if len(tied) == 1:

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: artefacts, replays, exit codes."""
 
+import collections
 import hashlib
 import os
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from evoknn import cli
+from evoknn import cli, ga
 from evoknn.dataset import load_csv, unify_vocabulary
 from evoknn.ga import GaConfig, exhaustive_best
 from evoknn.knn import FeatureMask, recognition_rate
@@ -138,15 +139,51 @@ GOLDEN_SELECT_RUNS = [
 ]
 
 
-def test_select_trace_matches_golden_digest(tmp_path, capsys):
-    for n, (synth_flags, select_flags, golden) in enumerate(GOLDEN_SELECT_RUNS):
-        data, out = tmp_path / f"data{n}", tmp_path / f"run{n}"
-        assert cli.main(["synth", "--out-dir", str(data)] + synth_flags) == 0
-        assert cli.main(["select", str(data / "train.csv"), str(data / "test.csv"),
-                         "--out-dir", str(out)] + select_flags) == 0
-        capsys.readouterr()
+def _synth_and_select(base, synth_flags, select_flags):
+    data, out = base / "data", base / "run"
+    assert cli.main(["synth", "--out-dir", str(data)] + synth_flags) == 0
+    assert cli.main(["select", str(data / "train.csv"), str(data / "test.csv"),
+                     "--out-dir", str(out)] + select_flags) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def reference_select(tmp_path_factory):
+    """The last (reference) run of GOLDEN_SELECT_RUNS, made once per module
+    with every ``ga.fitness`` and ``ga.recognition_rate`` call counted by
+    name and number of positional arguments: (out dir, counts)."""
+    calls = collections.Counter()
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name, len(args)] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("fitness", "recognition_rate"):
+            mp.setattr(ga, name, counted(name, getattr(ga, name)))
+        out = _synth_and_select(tmp_path_factory.mktemp("reference"),
+                                *GOLDEN_SELECT_RUNS[-1][:2])
+    return out, calls
+
+
+def test_select_trace_matches_golden_digest(tmp_path, capsys, reference_select):
+    outs = [_synth_and_select(tmp_path / str(n), synth_flags, select_flags)
+            for n, (synth_flags, select_flags, _) in enumerate(GOLDEN_SELECT_RUNS[:-1])]
+    outs.append(reference_select[0])
+    capsys.readouterr()
+    for out, (_, _, golden) in zip(outs, GOLDEN_SELECT_RUNS):
         for name, want in golden.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
+
+
+def test_reference_select_scores_each_distinct_mask_once(reference_select):
+    # the benchmark counts fresh evaluations and times the knn layer by
+    # wrapping these two names, and reads the mask at its positional slot
+    out, calls = reference_select
+    assert read_manifest(out / "summary.txt")["generations_run"] == "115"
+    assert calls == {("fitness", 4): 4760, ("recognition_rate", 4): 4760}
 
 
 def test_select_stop_on_fitness_reports_target(data_dir, tmp_path, capsys):
@@ -328,6 +365,14 @@ def test_project_replay_is_byte_identical(data_dir, tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def _cli_env(**overrides):
+    """The environment for a ``python -m evoknn.cli`` subprocess that imports
+    the package under test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **overrides)
+
+
 def test_project_bytes_do_not_depend_on_blas_thread_count(tmp_path, capsys):
     # A threaded BLAS product splits its sums by thread count, so a covariance
     # formed through one changes in its last bits between 1 and 2 OpenBLAS
@@ -339,11 +384,9 @@ def test_project_bytes_do_not_depend_on_blas_thread_count(tmp_path, capsys):
     viz = tmp_path / "viz"
     argv = [sys.executable, "-m", "evoknn.cli", "project", str(pool / "train.csv"),
             "--out", str(viz / "c.csv"), "--svg", str(viz / "s.svg")]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     runs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        env = _cli_env(OPENBLAS_NUM_THREADS=threads)
         subprocess.run(argv, env=env, check=True, capture_output=True, timeout=120)
         runs.append([(viz / name).read_bytes()
                      for name in ("c.csv", "s.svg", "c.manifest.txt")])
@@ -434,6 +477,35 @@ def test_bad_mask_is_a_usage_error(data_dir, tmp_path, capsys):
     # leading zeros make it a usage error rather than an empty-mask data error
     assert cli.main(["eval", train, test, "--mask", "000000"]) == 2
     capsys.readouterr()
+
+
+def test_mask_text_that_also_names_a_file_is_ambiguous(data_dir, tmp_path,
+                                                       monkeypatch, capsys):
+    train, test = str(data_dir / "train.csv"), str(data_dir / "test.csv")
+    monkeypatch.chdir(tmp_path)
+    Path("4").write_text("0,1\n")
+    assert cli.main(["eval", train, test, "--mask", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "ambiguous" in err and "features 4" in err and "./4" in err
+    assert cli.main(["eval", train, test, "--mask", "./4"]) == 0
+    assert stdout_field(capsys, "active_features") == "0,1"
+
+
+def test_closed_stdout_exits_141_without_a_message(data_dir):
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    # buffered, the closed pipe shows at the final flush; with -u, at a print
+    for flags in ([], ["-u"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "evoknn.cli", "eval",
+                 str(data_dir / "train.csv"), str(data_dir / "test.csv"), "--mask", "1,4"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b""), flags
 
 
 @st.composite

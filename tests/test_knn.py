@@ -1,11 +1,14 @@
 """Masked k-NN behaviour, metric properties, and oracle equivalence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from evoknn.dataset import Dataset, from_rows, unify_vocabulary
+from evoknn import cli
+from evoknn.dataset import Dataset, from_rows, load_csv, unify_vocabulary
 from evoknn.knn import (
     REJECT,
     FeatureMask,
@@ -15,7 +18,7 @@ from evoknn.knn import (
     recognition_rate,
 )
 
-from oracles import classify_oracle
+from oracles import classify_oracle, nearest_oracle
 
 
 # ----------------------------------------------------------- FeatureMask
@@ -244,3 +247,99 @@ def test_classify_matches_naive_oracle_on_random_integer_instances(rng):
                 if hits != sum(p == a for p, a in zip(want, actual.tolist())):
                     mismatches += 1
     assert mismatches == 0
+
+
+@st.composite
+def grid_problems(draw):
+    """(train, test, mask) on a coarse integer grid, where squared distances
+    are exact and distance and vote ties are common."""
+    n_train = draw(st.integers(1, 9))
+    length = draw(st.integers(1, 5))
+    n_classes = draw(st.integers(1, 3))
+    n_test = draw(st.integers(1, 4))
+    cell = st.integers(-2, 2)
+    rows = draw(st.lists(st.lists(cell, min_size=length, max_size=length),
+                         min_size=n_train + n_test, max_size=n_train + n_test))
+    labels = draw(st.lists(st.integers(0, n_classes - 1),
+                           min_size=n_train + n_test, max_size=n_train + n_test))
+    bits = draw(st.lists(st.booleans(), min_size=length, max_size=length)
+                .filter(any))
+    classes = tuple(f"c{c}" for c in range(n_classes))
+    rows = np.array(rows, dtype=float)
+    return (Dataset(rows[:n_train], labels[:n_train], classes),
+            Dataset(rows[n_train:], labels[n_train:], classes), FeatureMask(np.array(bits)))
+
+
+@settings(derandomize=True, database=None)
+@given(grid_problems())
+def test_every_k_and_reject_mode_matches_the_oracle_on_integer_grids(problem):
+    train, test, mask = problem
+    rows, labels = train.features.tolist(), train.labels.tolist()
+    active = mask.active_indices().tolist()
+    for k in range(1, train.n_samples + 1):
+        for q in test.features:
+            want = nearest_oracle(rows, q.tolist(), k, active)
+            got = k_nearest(train, q, k, mask)
+            assert [(n.sample_index, n.distance) for n in got] == [
+                (i, math.sqrt(d2)) for i, d2 in want]
+        for reject in (False, True):
+            _, _, per_sample = recognition_rate(train, test, k, mask, reject_ties=reject)
+            want = [classify_oracle(rows, labels, q.tolist(), k, active,
+                                    len(train.classes), reject_ties=reject)
+                    for q in test.features]
+            assert per_sample == list(zip(want, test.labels.tolist()))
+
+
+def test_k_nearest_distances_are_the_sequential_sums_bit_for_bit(rng):
+    # magnitudes spread over six decades make the rounding of every addition
+    # depend on the order the terms are added in
+    for _ in range(20):
+        n_train, length = int(rng.integers(2, 40)), int(rng.integers(1, 40))
+        scale = 10.0 ** rng.integers(-3, 4, size=length)
+        rows = rng.normal(size=(n_train, length)) * scale
+        q = rng.normal(size=length) * scale
+        train = from_rows(rows.tolist(), ["a"] * n_train)
+        bits = rng.random(length) < 0.7
+        bits[int(rng.integers(0, length))] = True
+        mask = FeatureMask(bits)
+        want = nearest_oracle(rows.tolist(), q.tolist(), n_train,
+                              mask.active_indices().tolist())
+        got = k_nearest(train, q, n_train, mask)
+        assert [(n.sample_index, n.distance) for n in got] == [
+            (i, math.sqrt(d2)) for i, d2 in want]
+
+
+def test_overflowed_distances_tie_to_the_lower_index():
+    # four squared distances overflow to inf; among them, and in the vote,
+    # the lower sample index still comes first
+    train = from_rows([[1e200], [5.0], [-1e200], [2e200], [3.0], [-3e200]],
+                      ["a", "b", "b", "a", "b", "a"])
+    neigh = k_nearest(train, [0.0], 6, FeatureMask.full(1))
+    assert [n.sample_index for n in neigh] == [4, 1, 0, 2, 3, 5]
+    assert [n.distance for n in neigh] == [3.0, 5.0] + [math.inf] * 4
+    # k=4: votes b, b, a, b
+    assert classify(train, [0.0], 4, FeatureMask.full(1)) == 1
+    # far query: every distance is inf, so samples 0 and 1 tie the k=2 vote
+    # at summed distance inf; it goes to the smaller class id, or to REJECT
+    for reject, want in ((False, 0), (True, REJECT)):
+        got = classify(train, [1e300], 2, FeatureMask.full(1), reject_ties=reject)
+        assert got == want == classify_oracle(
+            train.features.tolist(), train.labels.tolist(), [1e300], 2, [0], 2,
+            reject_ties=reject)
+
+
+def test_full_mask_call_on_the_reference_pair_allocates_under_1_mb(tmp_path, capsys):
+    # the kernel's working set is a few (queries x train) matrices; a
+    # per-feature table or a 3-D difference array would be about 9 MB here
+    assert cli.main(["synth", "--out-dir", str(tmp_path), "--seed", "12957"]) == 0
+    capsys.readouterr()
+    train, test = unify_vocabulary(load_csv(tmp_path / "train.csv"),
+                                   load_csv(tmp_path / "test.csv"))
+    assert train.feature_count == 117
+    tracemalloc.start()
+    try:
+        recognition_rate(train, test, 1, FeatureMask.full(117))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
