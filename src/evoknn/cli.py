@@ -2,13 +2,17 @@
 
 Every artefact-producing command writes a flat key-value manifest echoing its
 effective parameters (seed included), and all CSV artefacts replay
-byte-identically from the manifest's parameters.  Exit codes: 0 success,
-2 usage errors, 1 data errors, 141 when stdout's reader has closed the pipe.
+byte-identically from the manifest's parameters.  Each artefact is replaced
+atomically (``dataset.atomic_write``); the manifest is deleted before the
+first artefact and written last, so a directory without one holds an
+unfinished run.  Exit codes: 0 success, 2 usage errors, 1 data errors, 141
+when stdout's reader has closed the pipe.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import re
 import sys
@@ -22,6 +26,7 @@ import numpy as np
 from .dataset import (
     Dataset,
     DatasetError,
+    atomic_write,
     load_csv,
     normalize_minmax,
     split_random,
@@ -60,8 +65,8 @@ def _fmt(value) -> str:
 
 
 def _write_manifest(pairs: list[tuple[str, object]], path) -> None:
-    text = "".join(f"{key} = {_fmt(value)}\n" for key, value in pairs)
-    Path(path).write_text(text, encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.writelines(f"{key} = {_fmt(value)}\n" for key, value in pairs)
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -222,9 +227,10 @@ def cmd_synth(args) -> int:
         ]
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_path = out_dir / "train.csv"
     test_path = out_dir / "test.csv"
+    manifest_path = out_dir / "manifest.txt"
+    manifest_path.unlink(missing_ok=True)
     write_csv(train, train_path)
     write_csv(test, test_path)
     manifest += [
@@ -233,7 +239,7 @@ def cmd_synth(args) -> int:
         ("train_file", train_path),
         ("test_file", test_path),
     ]
-    _write_manifest(manifest, out_dir / "manifest.txt")
+    _write_manifest(manifest, manifest_path)
     print(f"wrote {train_path} ({train.n_samples} rows) and "
           f"{test_path} ({test.n_samples} rows)")
     return EXIT_OK
@@ -272,10 +278,12 @@ def cmd_select(args) -> int:
     wall = time.perf_counter() - started
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    summary_path = out_dir / "summary.txt"
+    summary_path.unlink(missing_ok=True)
     write_trace(trace, out_dir / "trace.csv")
     mask = best.mask
-    (out_dir / "best_mask.txt").write_text(mask.to_string() + "\n", encoding="utf-8")
+    with atomic_write(out_dir / "best_mask.txt") as fh:
+        fh.write(mask.to_string() + "\n")
 
     length = train.feature_count
     eval_n = eval_set.n_samples
@@ -321,7 +329,7 @@ def cmd_select(args) -> int:
             ("holdout_hits", h_hits),
             ("holdout_rate_percent", f"{100.0 * h_rate:.2f}"),
         ]
-    _write_manifest(manifest, out_dir / "summary.txt")
+    _write_manifest(manifest, summary_path)
 
     print(f"generations_run = {len(trace) - 1}")
     print(f"best_fitness = {best.fitness!r}")
@@ -356,10 +364,11 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------- project
 
 def _write_coords(path, header: list[str], rows, names, labels) -> None:
-    lines = [",".join(header)]
-    for idx, (row, lab) in enumerate(zip(rows, labels)):
-        lines.append(",".join([str(idx), names[lab]] + [repr(float(v)) for v in row]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for idx, (row, lab) in enumerate(zip(rows, labels)):
+            writer.writerow([idx, names[lab]] + [repr(float(v)) for v in row])
 
 
 def _expand_pairs(pair_args: list[str], mask: Optional[FeatureMask],
@@ -385,9 +394,10 @@ def _expand_pairs(pair_args: list[str], mask: Optional[FeatureMask],
 def cmd_project(args) -> int:
     data = _load(args.dataset, args)
     mask = _parse_mask(args.mask, data.feature_count) if args.mask else None
+    pairs = _expand_pairs(args.pair, mask, data.feature_count) if args.pair else []
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    manifest_path = out.with_suffix(".manifest.txt")
+    manifest_path.unlink(missing_ok=True)
 
     manifest: list[tuple[str, object]] = [
         ("command", "project"),
@@ -399,7 +409,6 @@ def cmd_project(args) -> int:
     outputs: list[str] = []
 
     if args.pair:
-        pairs = _expand_pairs(args.pair, mask, data.feature_count)
         for a, b in pairs:
             coords = data.features[:, [a, b]]
             pair_out = out.with_name(f"{out.stem}_pair_{a}_{b}{out.suffix or '.csv'}")
@@ -429,7 +438,7 @@ def cmd_project(args) -> int:
         ]
 
     manifest.append(("outputs", ";".join(outputs)))
-    _write_manifest(manifest, out.with_suffix(".manifest.txt"))
+    _write_manifest(manifest, manifest_path)
     for artefact in outputs:
         print(f"wrote {artefact}")
     return EXIT_OK

@@ -1,8 +1,13 @@
-"""Labelled tabular datasets: CSV loading, splitting, optional min-max scaling."""
+"""Labelled tabular datasets: CSV loading, splitting, optional min-max scaling.
+
+Also home of ``atomic_write``, the one way evoknn writes a file.
+"""
 
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -152,17 +157,39 @@ def _is_float(cell: str) -> bool:
         return False
 
 
-def write_csv(d: Dataset, path, include_header: bool = True, label_name: str = "label") -> None:
-    """Write a dataset as CSV (features then a final label-name column).
+@contextmanager
+def atomic_write(path):
+    """Yield a text handle whose bytes replace ``path`` when the block succeeds.
 
-    Float cells use ``repr`` so finite values round-trip exactly through
-    ``load_csv``.
+    Missing parent directories are made.  The handle writes UTF-8 with no
+    newline translation to a temp file beside ``path``, opened with ``open``
+    so its mode follows the umask.  On success ``os.replace`` moves it over
+    ``path``; on any exception the temp file is deleted and the exception
+    re-raised, so ``path`` keeps its previous bytes or stays absent.  There is
+    no fsync: this survives a killed process, not a power loss.
     """
     path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(d: Dataset, path) -> None:
+    """Write a dataset as CSV through ``atomic_write``: a header ``f0..f{n-1},
+    label``, then one row per sample, features then its class name.
+
+    Float cells use ``repr`` so finite values round-trip exactly through
+    ``load_csv``; the csv module quotes names that hold a comma or a quote.
+    """
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if include_header:
-            writer.writerow([f"f{j}" for j in range(d.feature_count)] + [label_name])
+        writer.writerow([f"f{j}" for j in range(d.feature_count)] + ["label"])
         for row, lab in zip(d.features, d.labels):
             writer.writerow([repr(float(v)) for v in row] + [d.classes[lab]])
 

@@ -23,12 +23,11 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, atomic_write
 from .knn import FeatureMask, recognition_rate
 
 
@@ -322,4 +321,5 @@ def write_trace(trace: list[GenerationStats], path) -> None:
                 s.best_mask.to_string(),
             ])
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -108,14 +108,17 @@ def _check_mask(mask: FeatureMask, feature_count: int) -> np.ndarray:
 
 
 def masked_distance(x, m, mask: FeatureMask) -> float:
-    """Euclidean distance over the mask's active coordinates only."""
+    """Euclidean distance over the mask's active coordinates only, summed as
+    ``_knn`` sums it: one squared term per active feature, in ascending order."""
     x = np.asarray(x, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     if x.shape != m.shape or x.ndim != 1:
         raise ValueError("x and m must be 1D sequences of equal length")
     active = _check_mask(mask, x.size)
-    diff = x[active] - m[active]
-    return math.sqrt(float(np.dot(diff, diff)))
+    d2 = 0.0
+    for a, b in zip(x[active].tolist(), m[active].tolist()):
+        d2 += (a - b) * (a - b)
+    return math.sqrt(d2)
 
 
 def _knn(

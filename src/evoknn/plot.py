@@ -7,10 +7,11 @@ a replayed run reproduces the file byte for byte.
 from __future__ import annotations
 
 import colorsys
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .dataset import atomic_write
 
 WIDTH = 720
 HEIGHT = 520
@@ -121,4 +122,5 @@ def _esc(text: str) -> str:
 
 
 def write_svg_scatter(path, *args, **kwargs) -> None:
-    Path(path).write_text(svg_scatter(*args, **kwargs), encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(svg_scatter(*args, **kwargs))

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: artefacts, replays, exit codes."""
 
 import collections
+import csv
 import hashlib
 import os
 import re
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from evoknn import cli, ga
-from evoknn.dataset import load_csv, unify_vocabulary
+from evoknn.dataset import atomic_write, from_rows, load_csv, unify_vocabulary, write_csv
 from evoknn.ga import GaConfig, exhaustive_best
 from evoknn.knn import FeatureMask, recognition_rate
 
@@ -391,6 +392,68 @@ def test_project_bytes_do_not_depend_on_blas_thread_count(tmp_path, capsys):
         runs.append([(viz / name).read_bytes()
                      for name in ("c.csv", "s.svg", "c.manifest.txt")])
     assert runs[0] == runs[1]
+
+
+def test_project_coords_csv_quotes_class_names(tmp_path, capsys):
+    names = ["gran, grey", 'say "hi"', "plain"]
+    data = tmp_path / "data.csv"
+    write_csv(from_rows([[0.0, 1.0], [2.0, 0.5], [1.0, 3.0], [4.0, 2.0]],
+                        names + ["plain"]), data)
+    coords = tmp_path / "coords.csv"
+    assert cli.main(["project", str(data), "--out", str(coords)]) == 0
+    capsys.readouterr()
+    with coords.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["sample_index", "label_name", "pc1", "pc2"]
+    assert [len(row) for row in rows] == [4] * 5
+    assert [row[1] for row in rows[1:]] == names + ["plain"]
+
+
+def _temp_files(directory):
+    return [p.name for p in directory.rglob("*") if p.name.endswith(".tmp")]
+
+
+def test_project_makes_the_svg_directory(data_dir, tmp_path, capsys):
+    coords, svg = tmp_path / "coords.csv", tmp_path / "figs" / "s.svg"
+    assert cli.main(["project", str(data_dir / "train.csv"), "--out", str(coords),
+                     "--svg", str(svg)]) == 0
+    capsys.readouterr()
+    assert svg.read_text().startswith("<svg ")
+    assert coords.with_suffix(".manifest.txt").exists()
+
+
+def test_failed_project_leaves_no_manifest(data_dir, tmp_path, capsys):
+    # a rerun that fails after writing new coordinates must not leave the
+    # previous run's manifest beside them
+    coords, svg = tmp_path / "coords.csv", tmp_path / "s.svg"
+    argv = ["project", str(data_dir / "train.csv"), "--out", str(coords), "--svg", str(svg)]
+    assert cli.main(argv) == 0
+    svg.unlink()
+    (svg / "blocker").mkdir(parents=True)  # the SVG cannot replace a directory
+    assert cli.main(argv + ["--mask", "1,4"]) == 1
+    capsys.readouterr()
+    assert not coords.with_suffix(".manifest.txt").exists()
+    assert _temp_files(tmp_path) == []
+
+
+def test_failed_select_leaves_no_summary_and_no_temp_file(data_dir, tmp_path, capsys,
+                                                          monkeypatch):
+    train, test = str(data_dir / "train.csv"), str(data_dir / "test.csv")
+    out = tmp_path / "run"
+    assert cli.main(["select", train, test, "--out-dir", str(out)] + SELECT_FLAGS) == 0
+    previous_trace = (out / "trace.csv").read_bytes()
+
+    def write_half_a_trace(trace, path):
+        with atomic_write(path) as fh:
+            fh.write("generation,best_fit")
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_trace", write_half_a_trace)
+    assert cli.main(["select", train, test, "--out-dir", str(out)] + SELECT_FLAGS) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()
+    assert (out / "trace.csv").read_bytes() == previous_trace
+    assert _temp_files(tmp_path) == []
 
 
 def test_project_explicit_pairs(data_dir, tmp_path, capsys):

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import evoknn
 from evoknn.dataset import (
     Dataset,
     DatasetError,
+    atomic_write,
     from_rows,
     load_csv,
     normalize_minmax,
@@ -39,6 +41,40 @@ def test_numpy_is_the_only_runtime_dependency():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def _file_writes(tree):
+    """Calls in ``tree`` that write a file: ``write_text``, ``write_bytes``,
+    or ``open``/``.open`` with a literal mode holding w, a or x."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+            yield node
+        elif ((isinstance(func, ast.Name) and func.id == "open")
+              or (isinstance(func, ast.Attribute) and func.attr == "open")):
+            pos = 1 if isinstance(func, ast.Name) else 0  # open(path, mode), p.open(mode)
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            modes += node.args[pos:pos + 1]
+            if any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                   and set(m.value) & set("wax") for m in modes):
+                yield node
+
+
+def test_every_write_goes_through_atomic_write():
+    # a file written in place is left half-written by a killed run
+    found, in_writer = [], 0
+    for path in sorted(Path(evoknn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {call for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "atomic_write"
+                   for call in _file_writes(node)}
+        in_writer += len(allowed)
+        found += [f"{path.name}:{call.lineno}" for call in _file_writes(tree)
+                  if call not in allowed]
+    assert found == []
+    assert in_writer == 1  # the scan does see the writer's own open call
 
 
 def test_from_rows_assigns_ids_by_first_appearance():
@@ -82,6 +118,58 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert loaded.classes == original.classes
     assert loaded.labels.tolist() == original.labels.tolist()
     assert np.array_equal(loaded.features, original.features)  # bitwise
+
+
+# class names load_csv reads back as written: stripped, non-empty, and holding
+# the csv module's delimiter and quote characters
+class_names = st.text(alphabet="ab ,\"é", min_size=1, max_size=6).filter(
+    lambda s: s == s.strip() and s)
+
+
+@st.composite
+def datasets(draw):
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=width, max_size=width), min_size=1, max_size=6))
+    names = draw(st.lists(class_names, min_size=len(rows), max_size=len(rows)))
+    return from_rows(rows, names)
+
+
+@settings(derandomize=True, database=None)
+@example(from_rows([[-0.0, 5e-324, sys.float_info.max, -sys.float_info.max],
+                    [0.0, -2.2250738585072014e-308, 1e-310, 1.0]],
+                   ["gran, grey", 'say "hi"']))
+@given(datasets())
+def test_csv_round_trip_keeps_every_finite_float_bit_for_bit(tmp_path_factory, original):
+    path = tmp_path_factory.mktemp("rt") / "data.csv"
+    write_csv(original, path)
+    loaded = load_csv(path)
+    assert loaded.classes == original.classes
+    assert loaded.labels.tolist() == original.labels.tolist()
+    assert loaded.features.tobytes() == original.features.tobytes()  # -0.0 too
+
+
+@pytest.mark.parametrize("previous", [None, b"old bytes\n"])
+def test_atomic_write_failure_leaves_the_previous_bytes_and_no_temp_file(tmp_path, previous):
+    target = tmp_path / "out.txt"
+    if previous is not None:
+        target.write_bytes(previous)
+    with pytest.raises(OSError, match="disk full"):
+        with atomic_write(target) as fh:
+            fh.write("half a fi")
+            fh.flush()
+            raise OSError("disk full")
+    assert [p.name for p in tmp_path.iterdir()] == ([] if previous is None else ["out.txt"])
+    if previous is not None:
+        assert target.read_bytes() == previous
+
+
+def test_atomic_write_makes_parents_and_writes_without_newline_translation(tmp_path):
+    target = tmp_path / "a" / "b" / "out.txt"
+    with atomic_write(target) as fh:
+        fh.write("é\r\n\n")
+    assert target.read_bytes() == "é\r\n\n".encode("utf-8")
+    assert [p.name for p in target.parent.iterdir()] == ["out.txt"]
 
 
 def test_load_csv_without_header(tmp_path):

@@ -307,6 +307,8 @@ def test_k_nearest_distances_are_the_sequential_sums_bit_for_bit(rng):
         got = k_nearest(train, q, n_train, mask)
         assert [(n.sample_index, n.distance) for n in got] == [
             (i, math.sqrt(d2)) for i, d2 in want]
+        assert [masked_distance(q, rows[n.sample_index], mask) for n in got] == [
+            n.distance for n in got]
 
 
 def test_overflowed_distances_tie_to_the_lower_index():
