@@ -30,10 +30,9 @@ from .knn import (
     Neighbor,
     classify,
     k_nearest,
-    masked_distance,
     recognition_rate,
 )
-from .pca import ProjectionModel, fit_pca2, project, project_rows
+from .pca import ProjectionModel, fit_pca2, project_rows
 from .plot import svg_scatter, write_svg_scatter
 from .synth import SynthSpec, class_means, generate, generate_pool
 
@@ -60,9 +59,7 @@ __all__ = [
     "generate_pool",
     "k_nearest",
     "load_csv",
-    "masked_distance",
     "normalize_minmax",
-    "project",
     "project_rows",
     "recognition_rate",
     "split_random",

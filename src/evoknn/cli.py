@@ -292,6 +292,8 @@ def cmd_select(args) -> int:
         ("command", "select"),
         ("train_file", args.train),
         ("eval_file", args.eval),
+        ("label_column", args.label_column),
+        ("has_header", not args.no_header),
         ("train_samples", train.n_samples),
         ("eval_samples", eval_n),
         ("n_classes", len(train.classes)),
@@ -402,6 +404,8 @@ def cmd_project(args) -> int:
     manifest: list[tuple[str, object]] = [
         ("command", "project"),
         ("dataset_file", args.dataset),
+        ("label_column", args.label_column),
+        ("has_header", not args.no_header),
         ("samples", data.n_samples),
         ("features", data.feature_count),
         ("mask", mask.to_string() if mask else None),

@@ -25,8 +25,9 @@ class Dataset:
 
     ``features`` is (n_samples, feature_count) float64, ``labels`` is
     (n_samples,) int, and ``classes`` is a tuple of unique, non-empty class
-    names: label ``c`` names ``classes[c]``.  All arrays are write-protected
-    after construction so the dataset can be shared freely across readers.
+    names without leading or trailing whitespace: label ``c`` names
+    ``classes[c]``.  All arrays are write-protected after construction so the
+    dataset can be shared freely across readers.
     """
 
     features: np.ndarray
@@ -47,6 +48,9 @@ class Dataset:
         classes = tuple(self.classes)
         if len(set(classes)) != len(classes) or any(not n for n in classes):
             raise DatasetError("class names must be unique and non-empty")
+        # load_csv strips names, so "a" and "a " would merge on reload
+        if any(n != n.strip() for n in classes):
+            raise DatasetError("class names must not start or end with whitespace")
         if labs.size and (labs.min() < 0 or labs.max() >= len(classes)):
             raise DatasetError("sample label outside the class vocabulary")
         feats.setflags(write=False)

@@ -193,10 +193,10 @@ def mutate(mask: FeatureMask, cfg: GaConfig, rng: np.random.Generator) -> Featur
     return FeatureMask(_repair(bits, rng))
 
 
-def _summarize(generation: int, pop: list[Individual]) -> GenerationStats:
-    best_i = min(range(len(pop)), key=lambda i: (-pop[i].fitness, i))
-    best = pop[best_i]
-    fits = np.asarray([ind.fitness for ind in pop])
+def _summarize(generation: int, ranked: list[Individual]) -> GenerationStats:
+    """Trace entry of a population listed best first."""
+    best = ranked[0]
+    fits = np.asarray([ind.fitness for ind in ranked])
     return GenerationStats(
         generation=generation,
         best_fitness=best.fitness,
@@ -244,13 +244,14 @@ def evolve(
     stall = 0
 
     for gen in itertools.count():
-        stats = _summarize(gen, population)
+        # best first; sorted is stable, so a fitness tie goes to the lower index
+        ranked = sorted(population, key=lambda ind: -ind.fitness)
+        stats = _summarize(gen, ranked)
         trace.append(stats)
         if on_generation is not None:
             on_generation(stats)
-        gen_best = max(population, key=lambda ind: ind.fitness)
-        if best_ever is None or gen_best.fitness > best_ever.fitness:
-            best_ever = gen_best
+        if best_ever is None or ranked[0].fitness > best_ever.fitness:
+            best_ever = ranked[0]
             stall = 0
         else:
             stall += 1
@@ -261,8 +262,7 @@ def evolve(
         if gen == cfg.max_generations:
             return best_ever, trace, "generation_budget"
 
-        order = sorted(range(len(population)), key=lambda i: (-population[i].fitness, i))
-        elites = [population[i] for i in order[: cfg.elite_count]]
+        elites = ranked[: cfg.elite_count]
         need = cfg.population_size - len(elites)
         offspring: list[FeatureMask] = []
         while len(offspring) < need:

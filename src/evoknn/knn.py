@@ -4,16 +4,18 @@ All operations are pure functions of immutable inputs; neighbour ordering and
 vote ties are fully specified so identical inputs always yield identical
 labels, regardless of evaluation order.  ``k_nearest``, ``classify`` and
 ``recognition_rate`` are one-query and whole-test-set calls of one kernel,
-``_knn``: it checks k, query shape and mask once, then fills the
-(queries x train) squared-distance matrix one active feature at a time, in
-ascending feature order.  Each distance is therefore the plain left-to-right
-sum a scalar loop makes, whatever order a library routine would choose.  The
-k neighbours of every row come from k argmin passes, so distance ties go to
-the lower sample index.  That costs O(k * queries * train) where a sort costs
-O(queries * train * log train); the paper and its workloads use k <= 3.  All
-rows vote at once.  A vote tie goes to the class whose voting neighbours have
-the smallest summed distance, then to the smaller class id, or to ``REJECT``
-in reject mode.
+``_knn``, which is ``_vote(_d2(...))``.  ``_d2`` checks the query shape and
+mask, then fills the (queries x train) squared-distance matrix one active
+feature at a time, in ascending feature order.  Each distance is therefore
+the plain left-to-right sum a scalar loop makes, whatever order a library
+routine would choose.  ``_vote`` takes d2 of shape (..., queries, train) and
+votes every row of every leading index (one per mask, say) in the same
+passes.  The k neighbours of a row come from k argmin passes, so distance
+ties go to the lower sample index.  That costs O(k * queries * train) where
+a sort costs O(queries * train * log train); the paper and its workloads use
+k <= 3.  A vote tie goes to the class whose voting neighbours have the
+smallest summed distance, then to the smaller class id, or to ``REJECT`` in
+reject mode.
 """
 
 from __future__ import annotations
@@ -96,73 +98,61 @@ class Neighbor:
     label: int
 
 
-def _check_mask(mask: FeatureMask, feature_count: int) -> np.ndarray:
-    if mask.length != feature_count:
+def _d2(train: Dataset, queries, mask: FeatureMask) -> np.ndarray:
+    """(queries x train) squared distances, one term per active feature in
+    ascending order.  A sum too large for a double is +inf, which orders last."""
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != train.feature_count:
+        raise ValueError(f"queries must have the training set's {train.feature_count} features")
+    if mask.length != train.feature_count:
         raise ValueError(
-            f"mask length {mask.length} does not match feature count {feature_count}"
+            f"mask length {mask.length} does not match feature count {train.feature_count}"
         )
     active = mask.active_indices()
     if active.size == 0:
         raise ValueError("mask has no active features")
-    return active
-
-
-def masked_distance(x, m, mask: FeatureMask) -> float:
-    """Euclidean distance over the mask's active coordinates only, summed as
-    ``_knn`` sums it: one squared term per active feature, in ascending order."""
-    x = np.asarray(x, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
-    if x.shape != m.shape or x.ndim != 1:
-        raise ValueError("x and m must be 1D sequences of equal length")
-    active = _check_mask(mask, x.size)
-    d2 = 0.0
-    for a, b in zip(x[active].tolist(), m[active].tolist()):
-        d2 += (a - b) * (a - b)
-    return math.sqrt(d2)
-
-
-def _knn(
-    train: Dataset, queries, k: int, mask: FeatureMask, reject_ties: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one query kernel: (neighbour indices, their d2, predicted class) per row.
-
-    ``queries`` is (n_queries, feature_count).  Squared distances are compared
-    internally (monotone in the metric); square roots are taken only where a
-    distance is reported or summed.
-    """
-    if not 1 <= k <= train.n_samples:
-        raise ValueError(f"k must be in 1..{train.n_samples}, got {k}")
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != train.feature_count:
-        raise ValueError(f"queries must have the training set's {train.feature_count} features")
-    active = _check_mask(mask, train.feature_count)
-    n_queries, n_classes = queries.shape[0], len(train.classes)
-    # one squared term per active feature, in ascending feature order.  A sum
-    # too large for a double is +inf, which orders last, so it is no error.
-    d2 = np.zeros((n_queries, train.n_samples))
+    d2 = np.zeros((queries.shape[0], train.n_samples))
     term = np.empty_like(d2)
     with np.errstate(over="ignore"):
         for j in active:
             np.subtract.outer(queries[:, j], train.features[:, j], out=term)
             d2 += np.square(term, out=term)
+    return d2
+
+
+def _vote(
+    d2: np.ndarray, labels: np.ndarray, n_classes: int, k: int, reject_ties: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(neighbour indices, their d2, predicted class) for every row of ``d2``.
+
+    ``d2`` is (..., queries, train); leading axes, one per mask say, are voted
+    as more rows and kept in the outputs.  The picks are overwritten in ``d2``
+    itself, so the caller's array is spent.
+    """
+    n_train = d2.shape[-1]
+    if not 1 <= k <= n_train:
+        raise ValueError(f"k must be in 1..{n_train}, got {k}")
+    lead = d2.shape[:-1]
+    d2 = d2.reshape(-1, n_train)
 
     # k argmin passes over the bit patterns, which order non-negative doubles
     # (+inf included) as their values do; argmin returns the first index of a
     # tie, so equal distances go to the lower sample index.  A pick is retired
     # with the largest int64, which lies above +inf's pattern.
-    rows = np.arange(n_queries)
+    n_rows = d2.shape[0]
+    rows = np.arange(n_rows)
     keys = d2.view(np.int64)
-    order = np.empty((n_queries, k), dtype=np.intp)
-    near = np.empty((n_queries, k))
+    order = np.empty((n_rows, k), dtype=np.intp)
+    near = np.empty((n_rows, k))
     for i in range(k):
         order[:, i] = pick = keys.argmin(axis=1)
         near[:, i] = d2[rows, pick]
         keys[rows, pick] = np.iinfo(np.int64).max
 
-    # one bincount over (query, class) cells counts every query's votes at once
-    cells = (rows[:, None] * n_classes + train.labels[order]).ravel()
-    counts = np.bincount(cells, minlength=n_queries * n_classes)
-    counts = counts.reshape(n_queries, n_classes)
+    # one bincount over (row, class) cells counts every row's votes at once
+    cells = (rows[:, None] * n_classes + labels[order]).ravel()
+    counts = np.bincount(cells, minlength=n_rows * n_classes)
+    counts = counts.reshape(n_rows, n_classes)
     tied = counts == counts.max(axis=1, keepdims=True)
     if reject_ties:
         predicted = np.where(tied.sum(axis=1) == 1, tied.argmax(axis=1), REJECT)
@@ -173,7 +163,14 @@ def _knn(
         sums = sums.reshape(counts.shape)
         closest = np.where(tied, sums, np.inf).min(axis=1, keepdims=True)
         predicted = (tied & (sums == closest)).argmax(axis=1)
-    return order, near, predicted
+    return order.reshape(*lead, k), near.reshape(*lead, k), predicted.reshape(lead)
+
+
+def _knn(
+    train: Dataset, queries, k: int, mask: FeatureMask, reject_ties: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One mask's (neighbour indices, their d2, predicted class) per query row."""
+    return _vote(_d2(train, queries, mask), train.labels, len(train.classes), k, reject_ties)
 
 
 def k_nearest(train: Dataset, x, k: int, mask: FeatureMask) -> list[Neighbor]:

@@ -26,7 +26,7 @@ class ProjectionModel:
     """Mean and the two dominant covariance eigenpairs, full feature length.
 
     When fitted through a mask, the axes are zero on inactive features, so
-    ``project`` stays a plain dot product against full-length samples.
+    ``project_rows`` stays a plain dot product against full-length samples.
     """
 
     mean: np.ndarray
@@ -95,15 +95,6 @@ def fit_pca2(d: Dataset, mask: Optional[FeatureMask] = None) -> ProjectionModel:
         eigenvalue1=max(float(values[order[0]]), 0.0),
         eigenvalue2=max(float(values[order[1]]), 0.0),
     )
-
-
-def project(model: ProjectionModel, x) -> tuple[float, float]:
-    """Coordinates of one sample on (axis1, axis2), relative to the mean."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.feature_count,):
-        raise ValueError("sample length does not match the model")
-    pc1, pc2 = project_rows(model, x[None, :])[0]
-    return float(pc1), float(pc2)
 
 
 def project_rows(model: ProjectionModel, rows: np.ndarray) -> np.ndarray:

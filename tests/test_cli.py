@@ -499,6 +499,31 @@ def test_project_pair_usage_errors(data_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_manifests_record_the_label_column_and_header_flags(data_dir, tmp_path, capsys):
+    # a headerless copy of the pair with the label first, so that neither file
+    # loads under the default flags
+    bare = {}
+    for name in ("train", "test"):
+        d = load_csv(data_dir / f"{name}.csv")
+        bare[name] = tmp_path / f"{name}_bare.csv"
+        bare[name].write_text("".join(
+            ",".join([d.classes[lab]] + [repr(float(v)) for v in row]) + "\n"
+            for row, lab in zip(d.features, d.labels)))
+    flags = ["--label-column", "0", "--no-header"]
+    assert cli.main(["select", str(bare["train"]), str(bare["test"]), "--out-dir",
+                     str(tmp_path / "run"), "--generations", "1", "--pop", "6"] + flags) == 0
+    assert cli.main(["project", str(bare["train"]), "--out", str(tmp_path / "c.csv")]
+                    + flags) == 0
+    assert cli.main(["project", str(data_dir / "train.csv"),
+                     "--out", str(tmp_path / "d.csv")]) == 0
+    capsys.readouterr()
+    for manifest in (tmp_path / "run" / "summary.txt", tmp_path / "c.manifest.txt"):
+        pairs = read_manifest(manifest)
+        assert (pairs["label_column"], pairs["has_header"]) == ("0", "false")
+    pairs = read_manifest(tmp_path / "d.manifest.txt")
+    assert (pairs["label_column"], pairs["has_header"]) == ("label", "true")
+
+
 # ----------------------------------------------------------- errors & exit codes
 
 def test_missing_file_is_a_data_error(capsys):

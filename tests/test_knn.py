@@ -12,9 +12,10 @@ from evoknn.dataset import Dataset, from_rows, load_csv, unify_vocabulary
 from evoknn.knn import (
     REJECT,
     FeatureMask,
+    _d2,
+    _vote,
     classify,
     k_nearest,
-    masked_distance,
     recognition_rate,
 )
 
@@ -56,31 +57,39 @@ def test_mask_rejects_bad_input():
 
 # ----------------------------------------------------------- distance
 
+def distance(x, y, mask):
+    """The masked distance from x to y, as k_nearest reports it."""
+    return k_nearest(from_rows([y], ["a"]), x, 1, mask)[0].distance
+
+
 def test_masked_distance_uses_active_coordinates_only():
     mask = FeatureMask.from_string("101")
-    assert masked_distance([0, 99, 0], [3, -7, 4], mask) == 5.0
+    assert distance([0, 99, 0], [3, -7, 4], mask) == 5.0
     full = FeatureMask.full(3)
-    assert masked_distance([0, 0, 0], [1, 2, 2], full) == 3.0
+    assert distance([0, 0, 0], [1, 2, 2], full) == 3.0
 
 
 def test_masked_distance_metric_axioms(rng):
     mask = FeatureMask.from_string("11011")
     for _ in range(50):
         x, y, z = rng.normal(size=(3, 5))
-        dxy = masked_distance(x, y, mask)
+        dxy = distance(x, y, mask)
         assert dxy >= 0.0
-        assert masked_distance(x, x, mask) == 0.0
-        assert dxy == masked_distance(y, x, mask)
-        assert dxy <= masked_distance(x, z, mask) + masked_distance(z, y, mask) + 1e-12
+        assert distance(x, x, mask) == 0.0
+        assert dxy == distance(y, x, mask)
+        assert dxy <= distance(x, z, mask) + distance(z, y, mask) + 1e-12
 
 
 def test_masked_distance_validates_shapes():
-    with pytest.raises(ValueError):
-        masked_distance([1, 2], [1, 2, 3], FeatureMask.full(2))
-    with pytest.raises(ValueError):
-        masked_distance([1, 2], [1, 2], FeatureMask.full(3))
-    with pytest.raises(ValueError):
-        masked_distance([1, 2], [3, 4], FeatureMask.from_string("00"))
+    two = from_rows([[1.0, 2.0]], ["a"])
+    with pytest.raises(ValueError, match="2 features"):
+        k_nearest(two, [1, 2, 3], 1, FeatureMask.full(2))
+    with pytest.raises(ValueError, match="2 features"):
+        recognition_rate(two, from_rows([[1.0, 2.0, 3.0]], ["a"]), 1, FeatureMask.full(2))
+    with pytest.raises(ValueError, match="mask length 3"):
+        k_nearest(two, [1, 2], 1, FeatureMask.full(3))
+    with pytest.raises(ValueError, match="no active features"):
+        k_nearest(two, [3, 4], 1, FeatureMask.from_string("00"))
 
 
 # ----------------------------------------------------------- neighbours
@@ -251,7 +260,7 @@ def test_classify_matches_naive_oracle_on_random_integer_instances(rng):
 
 @st.composite
 def grid_problems(draw):
-    """(train, test, mask) on a coarse integer grid, where squared distances
+    """(train, test, masks) on a coarse integer grid, where squared distances
     are exact and distance and vote ties are common."""
     n_train = draw(st.integers(1, 9))
     length = draw(st.integers(1, 5))
@@ -262,32 +271,43 @@ def grid_problems(draw):
                          min_size=n_train + n_test, max_size=n_train + n_test))
     labels = draw(st.lists(st.integers(0, n_classes - 1),
                            min_size=n_train + n_test, max_size=n_train + n_test))
-    bits = draw(st.lists(st.booleans(), min_size=length, max_size=length)
-                .filter(any))
+    bits = st.lists(st.booleans(), min_size=length, max_size=length).filter(any)
+    masks = draw(st.lists(bits, min_size=2, max_size=4))
     classes = tuple(f"c{c}" for c in range(n_classes))
     rows = np.array(rows, dtype=float)
     return (Dataset(rows[:n_train], labels[:n_train], classes),
-            Dataset(rows[n_train:], labels[n_train:], classes), FeatureMask(np.array(bits)))
+            Dataset(rows[n_train:], labels[n_train:], classes),
+            [FeatureMask(np.array(m)) for m in masks])
 
 
 @settings(derandomize=True, database=None)
 @given(grid_problems())
 def test_every_k_and_reject_mode_matches_the_oracle_on_integer_grids(problem):
-    train, test, mask = problem
+    train, test, masks = problem
     rows, labels = train.features.tolist(), train.labels.tolist()
-    active = mask.active_indices().tolist()
+    n_classes = len(train.classes)
+    # every mask's d2 stacked on a leading axis, voted in one call per k and mode
+    stacked = np.stack([_d2(train, test.features, mask) for mask in masks])
     for k in range(1, train.n_samples + 1):
-        for q in test.features:
-            want = nearest_oracle(rows, q.tolist(), k, active)
-            got = k_nearest(train, q, k, mask)
-            assert [(n.sample_index, n.distance) for n in got] == [
-                (i, math.sqrt(d2)) for i, d2 in want]
         for reject in (False, True):
-            _, _, per_sample = recognition_rate(train, test, k, mask, reject_ties=reject)
-            want = [classify_oracle(rows, labels, q.tolist(), k, active,
-                                    len(train.classes), reject_ties=reject)
-                    for q in test.features]
-            assert per_sample == list(zip(want, test.labels.tolist()))
+            order, near, predicted = _vote(stacked.copy(), train.labels, n_classes,
+                                           k, reject)
+            assert order.shape == near.shape == (len(masks), test.n_samples, k)
+            for m, mask in enumerate(masks):
+                active = mask.active_indices().tolist()
+                for q, got_order, got_near in zip(test.features, order[m], near[m]):
+                    want = nearest_oracle(rows, q.tolist(), k, active)
+                    assert list(zip(got_order.tolist(), got_near.tolist())) == want
+                    got = k_nearest(train, q, k, mask)
+                    assert [(n.sample_index, n.distance) for n in got] == [
+                        (i, math.sqrt(d2)) for i, d2 in want]
+                _, _, per_sample = recognition_rate(train, test, k, mask,
+                                                    reject_ties=reject)
+                want = [classify_oracle(rows, labels, q.tolist(), k, active,
+                                        n_classes, reject_ties=reject)
+                        for q in test.features]
+                assert per_sample == list(zip(want, test.labels.tolist()))
+                assert predicted[m].tolist() == want
 
 
 def test_k_nearest_distances_are_the_sequential_sums_bit_for_bit(rng):
@@ -307,8 +327,6 @@ def test_k_nearest_distances_are_the_sequential_sums_bit_for_bit(rng):
         got = k_nearest(train, q, n_train, mask)
         assert [(n.sample_index, n.distance) for n in got] == [
             (i, math.sqrt(d2)) for i, d2 in want]
-        assert [masked_distance(q, rows[n.sample_index], mask) for n in got] == [
-            n.distance for n in got]
 
 
 def test_overflowed_distances_tie_to_the_lower_index():

@@ -8,7 +8,7 @@ import pytest
 
 from evoknn.dataset import from_rows
 from evoknn.knn import FeatureMask
-from evoknn.pca import ProjectionModel, fit_pca2, project, project_rows
+from evoknn.pca import ProjectionModel, fit_pca2, project_rows
 
 from oracles import jacobi_eigh
 
@@ -104,7 +104,8 @@ def test_projected_variance_equals_eigenvalue_and_components_uncorrelated(rng):
     covariance = float(np.cov(coords[:, 0], coords[:, 1], ddof=1)[0, 1])
     assert covariance == pytest.approx(0.0, abs=1e-8)
     # mean projects to the origin
-    assert project(model, d.features.mean(axis=0)) == pytest.approx((0.0, 0.0), abs=1e-9)
+    mean = d.features.mean(axis=0)
+    assert project_rows(model, mean[None, :])[0] == pytest.approx((0.0, 0.0), abs=1e-9)
 
 
 def test_eigenvalues_are_rotation_invariant(rng):
@@ -189,6 +190,6 @@ def test_project_validates_shapes():
     model = ProjectionModel(np.zeros(3), np.array([1.0, 0.0, 0.0]),
                             np.array([0.0, 1.0, 0.0]), 2.0, 1.0)
     with pytest.raises(ValueError):
-        project(model, [1.0, 2.0])
+        project_rows(model, [[1.0, 2.0]])
     with pytest.raises(ValueError):
         project_rows(model, np.zeros((4, 2)))
