@@ -6,7 +6,9 @@ byte-identically from the manifest's parameters.  Each artefact is replaced
 atomically (``dataset.atomic_write``); the manifest is deleted before the
 first artefact and written last, so a directory without one holds an
 unfinished run.  Exit codes: 0 success, 2 usage errors, 1 data errors, 141
-when stdout's reader has closed the pipe.
+when stdout's reader has closed the pipe.  Each GA or synth flag stores
+into the ``GaConfig`` or ``SynthSpec`` field of its name and takes that
+field's default, so the library alone declares those parameters.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ import re
 import sys
 import time
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .dataset import (
+    DEFAULT_LABEL_COLUMN,
     Dataset,
     DatasetError,
     atomic_write,
@@ -33,7 +37,7 @@ from .dataset import (
     unify_vocabulary,
     write_csv,
 )
-from .ga import GaConfig, evolve, exhaustive_best, write_trace
+from .ga import EXHAUSTIVE_GUARD, GaConfig, evolve, exhaustive_best, write_trace
 from .knn import REJECT, FeatureMask, recognition_rate
 from .pca import fit_pca2, project_rows
 from .plot import write_svg_scatter
@@ -70,10 +74,21 @@ def _write_manifest(pairs: list[tuple[str, object]], path) -> None:
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise UsageError(f"{what} must be a comma-separated list of integers: {text!r}")
+    """Comma-separated canonical decimals, each ``0|[1-9][0-9]*``: no sign,
+    space, underscore or leading zero, so ``007`` and ``01`` are refused."""
+    tokens = text.split(",")
+    if not all(re.fullmatch(r"0|[1-9][0-9]*", tok) for tok in tokens):
+        raise UsageError(f"{what} must be comma-separated integers without signs, "
+                         f"spaces or leading zeros: {text!r}")
+    return [int(tok) for tok in tokens]
+
+
+def _from_args(cls, args, **parsed):
+    """``cls`` from the ``args`` entries named after its fields, ``parsed`` in
+    place of text flags; an absent or None entry keeps the field's default."""
+    given = vars(args) | parsed
+    return cls(**{f.name: given[f.name] for f in fields(cls)
+                  if given.get(f.name) is not None})
 
 
 def _load(path, args) -> Dataset:
@@ -99,13 +114,13 @@ def _load_problem(args, *paths, normalize: bool = False) -> list[Dataset]:
     return [train, *others]
 
 
-def _ga_config(args, **fields) -> tuple[GaConfig, list[str]]:
-    """GaConfig from ``args``' --k/--alpha/--beta plus ``fields``; a bad value
-    is a usage error.  Returns the config and its warnings, echoed to stderr."""
+def _ga_config(args) -> tuple[GaConfig, list[str]]:
+    """GaConfig from ``args``; a bad value is a usage error.  Returns the
+    config and its warnings, echoed to stderr."""
     with warnings.catch_warnings(record=True) as records:
         warnings.simplefilter("always")
         try:
-            cfg = GaConfig(alpha=args.alpha, beta=args.beta, k=args.k, **fields)
+            cfg = _from_args(GaConfig, args)
         except ValueError as exc:
             raise UsageError(str(exc))
     caught = [str(r.message) for r in records]
@@ -142,24 +157,19 @@ def _parse_mask_text(source: str, value: str, feature_count: int) -> FeatureMask
     ``1`` is a bit string; anything else must be a comma list of canonical
     decimal indices (so ``0`` on one feature is feature 0).  ``value`` is
     what the user wrote, for messages."""
-    source = source.strip()
     if len(source) == feature_count and set(source) <= {"0", "1"} and "1" in source:
         return FeatureMask.from_string(source)
-    tokens = [tok.strip() for tok in source.split(",")]
-    if not all(re.fullmatch(r"0|[1-9][0-9]*", tok) for tok in tokens):
-        raise UsageError(
-            f"cannot parse mask {value!r}: want a {feature_count}-character 0/1 "
-            "string or comma-separated feature indices without leading zeros"
-        )
+    indices = _parse_int_list(
+        source, f"mask {value!r}, unless a {feature_count}-character 0/1 string,")
     try:
-        return FeatureMask.from_indices([int(tok) for tok in tokens], feature_count)
+        return FeatureMask.from_indices(indices, feature_count)
     except ValueError as exc:
         raise UsageError(f"cannot parse mask {value!r}: {exc}")
 
 
 def _dataset_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--label-column", default="label",
-                     help="label column name or 0-based index (default: label)")
+    sub.add_argument("--label-column", default=DEFAULT_LABEL_COLUMN,
+                     help="label column name or 0-based index (default %(default)s)")
     sub.add_argument("--no-header", action="store_true",
                      help="files have no header row")
 
@@ -167,26 +177,19 @@ def _dataset_flags(sub: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(args) -> int:
-    informative = tuple(_parse_int_list(args.informative, "--informative"))
-    if any(not 0 <= i < args.features for i in informative):
-        raise UsageError(
-            f"informative indices {informative} must lie in 0..{args.features - 1}"
-        )
     uniform = args.train_per_class is not None or args.test_per_class is not None
     if uniform and (args.train_per_class is None or args.test_per_class is None):
         raise UsageError("--train-per-class and --test-per-class go together")
-
+    informative = _parse_int_list(args.informative, "--informative")
     try:
-        spec = SynthSpec(
-            n_classes=args.classes,
-            n_features=args.features,
-            informative=informative,
-            class_separation=args.separation,
-            noise_sd=args.noise_sd,
-            train_per_class=args.train_per_class if uniform else 1,
-            test_per_class=args.test_per_class if uniform else 1,
-            seed=args.seed,
-        )
+        # each value checked here comes from a flag: a refusal is a usage error
+        spec = _from_args(SynthSpec, args, informative=informative)
+        if uniform:
+            train, test = generate(spec)
+        else:
+            sizes = tuple(_parse_int_list(args.class_sizes, "--class-sizes"))
+            train, test = split_random(generate_pool(spec, sizes), args.test_count,
+                                       spec.seed, stratified=args.stratified)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -194,34 +197,22 @@ def cmd_synth(args) -> int:
         ("command", "synth"),
         ("n_classes", spec.n_classes),
         ("n_features", spec.n_features),
-        ("informative_features", informative),
+        ("informative_features", spec.informative),
         ("class_separation", float(spec.class_separation)),
         ("noise_sd", float(spec.noise_sd)),
         ("seed", spec.seed),
     ]
     if uniform:
-        train, test = generate(spec)
         manifest += [
             ("mode", "per_class"),
             ("train_per_class", spec.train_per_class),
             ("test_per_class", spec.test_per_class),
         ]
     else:
-        sizes = tuple(_parse_int_list(args.class_sizes, "--class-sizes"))
-        if len(sizes) != spec.n_classes:
-            raise UsageError(
-                f"--class-sizes lists {len(sizes)} counts for {spec.n_classes} classes"
-            )
-        total = sum(sizes)
-        if not 0 < args.test_count < total:
-            raise UsageError(f"--test-count must be in 1..{total - 1}")
-        pool = generate_pool(spec, sizes)
-        train, test = split_random(pool, args.test_count, spec.seed,
-                                   stratified=args.stratified)
         manifest += [
             ("mode", "pool_split"),
             ("class_sizes", sizes),
-            ("pool_size", total),
+            ("pool_size", sum(sizes)),
             ("test_count", args.test_count),
             ("stratified", args.stratified),
         ]
@@ -247,31 +238,12 @@ def cmd_synth(args) -> int:
 
 # ---------------------------------------------------------------- select
 
-def _ga_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--k", type=int, default=1, help="neighbours in the vote (default 1)")
-    sub.add_argument("--alpha", type=float, default=0.6, help="weight per hit (default 0.6)")
-    sub.add_argument("--beta", type=float, default=0.6,
-                     help="penalty per active feature (default 0.6)")
-
-
 def cmd_select(args) -> int:
     paths = [args.train, args.eval] + ([args.holdout] if args.holdout else [])
     train, eval_set, *rest = _load_problem(args, *paths, normalize=args.normalize)
     holdout = rest[0] if rest else None
 
-    cfg, caught = _ga_config(
-        args,
-        population_size=args.pop,
-        max_generations=args.generations,
-        crossover_prob=args.crossover_prob,
-        mutation_prob=args.mutation_prob,
-        per_bit_flip_rate=args.bit_flip_rate,
-        seed=args.seed,
-        elite_count=args.elite,
-        tournament_size=args.tournament,
-        stop_on_fitness=args.stop_on_fitness,
-        stall_generations=args.stall_generations,
-    )
+    cfg, caught = _ga_config(args)
 
     started = time.perf_counter()
     best, trace, stopped = evolve(train, eval_set, cfg)
@@ -452,7 +424,7 @@ def cmd_project(args) -> int:
 
 def cmd_oracle(args) -> int:
     train, eval_set = _load_problem(args, args.train, args.eval)
-    cfg, _ = _ga_config(args, seed=0)
+    cfg, _ = _ga_config(args)
     mask, fitness_value, hits, nf = exhaustive_best(
         train, eval_set, cfg, max_length=args.max_features
     )
@@ -471,6 +443,43 @@ def cmd_oracle(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+SCORE_FLAGS = [
+    ("--k", "k", int, "neighbours in the vote"),
+    ("--alpha", "alpha", float, "fitness weight per hit"),
+    ("--beta", "beta", float, "fitness penalty per active feature"),
+]
+SEARCH_FLAGS = [
+    ("--pop", "population_size", int, "population size"),
+    ("--generations", "max_generations", int, "generation budget"),
+    ("--crossover-prob", "crossover_prob", float, "crossover probability per pair"),
+    ("--mutation-prob", "mutation_prob", float, "per-chromosome mutation probability"),
+    ("--bit-flip-rate", "per_bit_flip_rate", float,
+     "per-bit flip rate inside a mutation, None meaning 1/L"),
+    ("--seed", "seed", int, "GA seed"),
+    ("--elite", "elite_count", int, "best individuals kept per generation"),
+    ("--tournament", "tournament_size", int, "tournament size of parent selection"),
+    ("--stop-on-fitness", "stop_on_fitness", float, "stop at this best fitness"),
+    ("--stall-generations", "stall_generations", int,
+     "stop after this many generations without a better individual"),
+]
+SYNTH_FLAGS = [
+    ("--classes", "n_classes", int, "number of classes"),
+    ("--features", "n_features", int, "number of features"),
+    ("--separation", "class_separation", float,
+     "gap between adjacent class means on informative features"),
+    ("--noise-sd", "noise_sd", float, "noise standard deviation on every feature"),
+    ("--seed", "seed", int, "generator and split seed"),
+]
+
+
+def _config_flags(sub: argparse.ArgumentParser, cls, rows) -> None:
+    """One flag per (flag, field, type, help) row: it stores into the ``cls``
+    field it names and takes that field's default."""
+    for flag, name, kind, text in rows:
+        sub.add_argument(flag, dest=name, type=kind, default=getattr(cls, name),
+                         help=f"{text} (default %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evoknn",
@@ -481,21 +490,19 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("synth", help="generate a planted-feature dataset pair")
-    p.add_argument("--out-dir", default="synth_out", help="output directory")
-    p.add_argument("--classes", type=int, default=14)
-    p.add_argument("--features", type=int, default=117)
-    p.add_argument("--informative", default="70,101,112",
-                   help="comma-separated informative feature indices")
-    p.add_argument("--separation", type=float, default=10.0,
-                   help="gap between adjacent class means on informative features")
-    p.add_argument("--noise-sd", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-per-class", type=int, default=None)
-    p.add_argument("--test-per-class", type=int, default=None)
-    p.add_argument("--class-sizes", default=",".join(str(n) for n in DEFAULT_CLASS_SIZES),
-                   help="per-class pool sizes; the pool is split by --test-count")
+    p.add_argument("--out-dir", default="synth_out",
+                   help="output directory (default %(default)s)")
+    _config_flags(p, SynthSpec, SYNTH_FLAGS)
+    p.add_argument("--informative", default=",".join(map(str, SynthSpec.informative)),
+                   help="comma-separated informative feature indices (default %(default)s)")
+    p.add_argument("--train-per-class", type=int,
+                   help="with --test-per-class: exact per-class counts instead of a pool")
+    p.add_argument("--test-per-class", type=int,
+                   help="with --train-per-class: exact per-class counts instead of a pool")
+    p.add_argument("--class-sizes", default=",".join(map(str, DEFAULT_CLASS_SIZES)),
+                   help="per-class pool sizes (default %(default)s)")
     p.add_argument("--test-count", type=int, default=50,
-                   help="random test samples drawn from the pool (default 50)")
+                   help="random test samples drawn from the pool (default %(default)s)")
     p.add_argument("--stratified", action="store_true",
                    help="stratify the pool split per class")
     p.set_defaults(func=cmd_synth)
@@ -504,20 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("train", help="training CSV")
     p.add_argument("eval", help="evaluation CSV scored inside the fitness")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--pop", type=int, default=50, help="population size (default 50)")
-    p.add_argument("--generations", type=int, default=814,
-                   help="generation budget (default 814)")
-    p.add_argument("--crossover-prob", type=float, default=1.0)
-    p.add_argument("--mutation-prob", type=float, default=0.9,
-                   help="per-chromosome mutation probability (default 0.9)")
-    p.add_argument("--bit-flip-rate", type=float, default=None,
-                   help="per-bit flip rate inside a mutation (default 1/L)")
-    _ga_flags(p)
-    p.add_argument("--seed", type=int, default=12957)
-    p.add_argument("--elite", type=int, default=1)
-    p.add_argument("--tournament", type=int, default=2)
-    p.add_argument("--stop-on-fitness", type=float, default=None)
-    p.add_argument("--stall-generations", type=int, default=None)
+    _config_flags(p, GaConfig, SCORE_FLAGS + SEARCH_FLAGS)
     p.add_argument("--normalize", action="store_true",
                    help="min-max scale features using training bounds")
     p.add_argument("--holdout", default=None,
@@ -531,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", required=True,
                    help="0/1 string of one character per feature, comma-separated "
                         "indices, or a file holding either")
-    p.add_argument("--k", type=int, default=1)
+    _config_flags(p, GaConfig, SCORE_FLAGS[:1])
     p.add_argument("--reject-ties", action="store_true",
                    help="report REJECT instead of breaking vote ties")
     p.add_argument("--normalize", action="store_true")
@@ -552,9 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("oracle", help="exhaustive subset search (small feature counts)")
     p.add_argument("train")
     p.add_argument("eval")
-    _ga_flags(p)
-    p.add_argument("--max-features", type=int, default=15,
-                   help="refuse feature counts above this guard (default 15)")
+    _config_flags(p, GaConfig, SCORE_FLAGS)
+    p.add_argument("--max-features", type=int, default=EXHAUSTIVE_GUARD,
+                   help="refuse feature counts above this guard (default %(default)s)")
     _dataset_flags(p)
     p.set_defaults(func=cmd_oracle)
 

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+DEFAULT_LABEL_COLUMN = "label"
+
 
 class DatasetError(ValueError):
     """Raised when a dataset file or construction violates the format contract."""
@@ -85,7 +87,7 @@ def from_rows(rows: Sequence[Sequence[float]], label_names: Sequence[str]) -> Da
     return Dataset(np.asarray(rows, dtype=np.float64), np.asarray(labels), tuple(order))
 
 
-def load_csv(path, label_column="label", has_header: bool = True) -> Dataset:
+def load_csv(path, label_column=DEFAULT_LABEL_COLUMN, has_header: bool = True) -> Dataset:
     """Load a labelled dataset from a comma-separated file.
 
     ``label_column`` selects the label column by header name or 0-based

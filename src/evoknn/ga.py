@@ -273,8 +273,11 @@ def evolve(
         population = elites + evaluate(offspring[:need])
 
 
+EXHAUSTIVE_GUARD = 15
+
+
 def exhaustive_best(
-    train: Dataset, eval_set: Dataset, cfg: GaConfig, max_length: int = 15
+    train: Dataset, eval_set: Dataset, cfg: GaConfig, max_length: int = EXHAUSTIVE_GUARD
 ) -> tuple[FeatureMask, float, int, int]:
     """Evaluate every non-empty feature subset; the global fitness optimum.
 

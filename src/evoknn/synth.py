@@ -37,7 +37,7 @@ class SynthSpec:
         if len(set(self.informative)) != len(self.informative):
             raise ValueError("informative feature indices must be distinct")
         if any(not 0 <= i < self.n_features for i in self.informative):
-            raise ValueError("informative feature index out of range")
+            raise ValueError(f"informative {self.informative} outside 0..{self.n_features - 1}")
         if self.class_separation <= 0 or self.noise_sd <= 0:
             raise ValueError("class_separation and noise_sd must be positive")
         if self.train_per_class < 1 or self.test_per_class < 1:
@@ -117,7 +117,7 @@ def generate_pool(spec: SynthSpec, class_counts: Sequence[int]) -> Dataset:
     afterwards); the per-class train/test counts in ``spec`` are ignored.
     """
     if len(class_counts) != spec.n_classes:
-        raise ValueError("class_counts must list one count per class")
+        raise ValueError(f"{len(class_counts)} class counts for {spec.n_classes} classes")
     if any(n < 1 for n in class_counts):
         raise ValueError("class counts must be positive")
     rng = np.random.default_rng(spec.seed)

@@ -3,10 +3,12 @@
 import collections
 import csv
 import hashlib
+import inspect
 import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +16,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from evoknn import cli, ga
-from evoknn.dataset import atomic_write, from_rows, load_csv, unify_vocabulary, write_csv
+from evoknn.dataset import (atomic_write, from_rows, load_csv, split_random,
+                            unify_vocabulary, write_csv)
 from evoknn.ga import GaConfig, exhaustive_best
 from evoknn.knn import FeatureMask, recognition_rate
+from evoknn.synth import SynthSpec, generate_pool
 
 
 @pytest.fixture
@@ -89,7 +93,31 @@ def test_synth_usage_errors(tmp_path, capsys):
                             "--class-sizes", "5,5", "--test-count", "10"]) == 2
     assert cli.main(base + ["--informative", "0,zap"]) == 2
     assert cli.main(base + ["--informative", "1,,4"]) == 2  # empty item
+    assert cli.main(base + ["--informative", "007"]) == 2  # leading zeros
+    # refused by generate_pool, which is inside the usage-error mapping
+    assert cli.main(base + ["--class-sizes", "0,20,8,4,20,20,20,20,20,15,20,10,20,20"]) == 2
     capsys.readouterr()
+
+
+def test_synth_stratified_split_matches_the_library(tmp_path, capsys):
+    out = tmp_path / "strat"
+    assert cli.main(["synth", "--out-dir", str(out), "--stratified", "--noise-sd", "0.5",
+                     "--seed", "3"]) == 0
+    capsys.readouterr()
+    manifest = read_manifest(out / "manifest.txt")
+    assert {key: manifest[key] for key in ("mode", "stratified", "noise_sd", "test_count")} == {
+        "mode": "pool_split", "stratified": "true", "noise_sd": "0.5", "test_count": "50"}
+
+    pool = generate_pool(SynthSpec(noise_sd=0.5, seed=3), cli.DEFAULT_CLASS_SIZES)
+    want = split_random(pool, 50, 3, stratified=True)[1]
+    uniform = split_random(pool, 50, 3)[1]
+    got = load_csv(out / "test.csv")
+
+    def per_class(d):
+        return collections.Counter(d.classes[lab] for lab in d.labels)
+
+    assert per_class(got) == per_class(want) != per_class(uniform)
+    assert np.array_equal(got.features, want.features)
 
 
 # ----------------------------------------------------------- select
@@ -185,6 +213,61 @@ def test_reference_select_scores_each_distinct_mask_once(reference_select):
     out, calls = reference_select
     assert read_manifest(out / "summary.txt")["generations_run"] == "115"
     assert calls == {("fitness", 4): 4760, ("recognition_rate", 4): 4760}
+
+
+def test_select_every_ga_flag_reaches_the_summary(data_dir, tmp_path, capsys):
+    # one non-default value per GaConfig field, set through its flag
+    given = {
+        "population_size": ("--pop", 12), "max_generations": ("--generations", 4),
+        "crossover_prob": ("--crossover-prob", 0.75), "mutation_prob": ("--mutation-prob", 0.5),
+        "per_bit_flip_rate": ("--bit-flip-rate", 0.25), "alpha": ("--alpha", 0.25),
+        "beta": ("--beta", 0.75), "k": ("--k", 3), "seed": ("--seed", 8),
+        "elite_count": ("--elite", 2), "tournament_size": ("--tournament", 3),
+        "stop_on_fitness": ("--stop-on-fitness", 100.0),
+        "stall_generations": ("--stall-generations", 9),
+    }
+    assert set(given) == {f.name for f in fields(GaConfig)}
+    assert all(value != getattr(GaConfig, name) for name, (_, value) in given.items())
+    out = tmp_path / "run"
+    argv = ["select", str(data_dir / "train.csv"), str(data_dir / "test.csv"),
+            "--out-dir", str(out)]
+    for flag, value in given.values():
+        argv += [flag, str(value)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    summary = read_manifest(out / "summary.txt")
+    for name, (flag, value) in given.items():
+        key = "generation_budget" if name == "max_generations" else name
+        assert summary[key] == cli._fmt(value), flag
+
+
+def test_config_flags_store_into_the_library_fields(capsys):
+    # a flag whose dest misses its field would silently run on the default
+    parse = cli.build_parser().parse_args
+    plumbing = {"subcommand", "func", "train", "eval", "out_dir", "label_column", "no_header"}
+    select = parse(["select", "t.csv", "e.csv", "--out-dir", "o"])
+    assert set(vars(select)) - plumbing - {"normalize", "holdout"} == {
+        f.name for f in fields(GaConfig)}
+    oracle = parse(["oracle", "t.csv", "e.csv"])
+    assert set(vars(oracle)) - plumbing - {"max_features"} == {"k", "alpha", "beta"}
+    synth = parse(["synth"])
+    assert set(vars(synth)) - plumbing - {"class_sizes", "test_count", "stratified"} == {
+        f.name for f in fields(SynthSpec)}
+
+    with pytest.warns(UserWarning, match="alpha"):
+        reference = GaConfig()
+    assert cli._ga_config(select)[0] == reference
+    assert cli._ga_config(oracle)[0] == reference
+    informative = cli._parse_int_list(synth.informative, "--informative")
+    assert cli._from_args(SynthSpec, synth, informative=informative) == SynthSpec()
+    capsys.readouterr()
+
+    evaluate = parse(["eval", "t.csv", "e.csv", "--mask", "1"])
+    assert evaluate.k == GaConfig.k
+    assert oracle.max_features == inspect.signature(exhaustive_best).parameters[
+        "max_length"].default
+    assert evaluate.label_column == inspect.signature(load_csv).parameters[
+        "label_column"].default
 
 
 def test_select_stop_on_fitness_reports_target(data_dir, tmp_path, capsys):
@@ -496,6 +579,7 @@ def test_project_pair_usage_errors(data_dir, tmp_path, capsys):
     assert cli.main(["project", train, "--pair", "2,2", "--out", out]) == 2
     assert cli.main(["project", train, "--pair", "0,9", "--out", out]) == 2
     assert cli.main(["project", train, "--pair", "1,4,", "--out", out]) == 2
+    assert cli.main(["project", train, "--pair", "07,1", "--out", out]) == 2
     capsys.readouterr()
 
 
@@ -561,6 +645,8 @@ def test_bad_mask_is_a_usage_error(data_dir, tmp_path, capsys):
     assert cli.main(["eval", train, test, "--mask", "01"]) == 2
     assert cli.main(["eval", train, test, "--mask", "0000111"]) == 2
     assert cli.main(["eval", train, test, "--mask", "1,,4"]) == 2
+    # the one integer-list grammar: no spaces around the commas
+    assert cli.main(["eval", train, test, "--mask", "1, 4"]) == 2
     # all zeros selects nothing, so it is no bit string; as an index list its
     # leading zeros make it a usage error rather than an empty-mask data error
     assert cli.main(["eval", train, test, "--mask", "000000"]) == 2
