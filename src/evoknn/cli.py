@@ -1,8 +1,10 @@
 """Command-line front end: synth, select, eval, project, oracle.
 
-Every artefact-producing command writes a flat key-value manifest echoing its
-effective parameters (seed included), and all CSV artefacts replay
-byte-identically from the manifest's parameters.  Each artefact is replaced
+Every artefact-producing command writes a flat key-value manifest: the
+command, then every flag under its dest in parser order (``_flags``), then
+the sha256 of each input file, then the results.  Each key is the dest of
+the flag that sets it, and only where the artefacts go is left out, so a run
+replays byte for byte from its manifest alone.  Each artefact is replaced
 atomically (``dataset.atomic_write``); the manifest is deleted before the
 first artefact and written last, so a directory without one holds an
 unfinished run.  Exit codes: 0 success, 2 usage errors, 1 data errors, 141
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import os
 import re
 import sys
@@ -63,9 +66,28 @@ def _fmt(value) -> str:
         return "none"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (tuple, list)):
-        return ",".join(str(v) for v in value)
+    if isinstance(value, list):  # a repeatable flag's values, or a list of results
+        return ";".join(value)
     return str(value)
+
+
+# where a run writes is not part of what it computes: a replay picks its own
+NOT_ECHOED = {"func", "subcommand", "out_dir", "out", "svg"}
+
+
+def _flags(args, **resolved) -> list[tuple[str, object]]:
+    """A manifest's parameter block: the command, then every flag of ``args``
+    under its dest in parser order, a ``resolved`` value in place of the raw
+    one of the same name."""
+    given = vars(args) | resolved
+    return [("command", args.subcommand)] + [
+        (dest, value) for dest, value in given.items() if dest not in NOT_ECHOED]
+
+
+def _digests(args, *dests: str) -> list[tuple[str, str]]:
+    """``<dest>_sha256`` of each input file named by a set flag in ``dests``."""
+    return [(f"{dest}_sha256", hashlib.sha256(Path(path).read_bytes()).hexdigest())
+            for dest in dests if (path := getattr(args, dest)) is not None]
 
 
 def _write_manifest(pairs: list[tuple[str, object]], path) -> None:
@@ -92,7 +114,7 @@ def _from_args(cls, args, **parsed):
 
 
 def _load(path, args) -> Dataset:
-    return load_csv(path, label_column=args.label_column, has_header=not args.no_header)
+    return load_csv(path, label_column=args.label_column, has_header=args.has_header)
 
 
 def _load_problem(args, *paths, normalize: bool = False) -> list[Dataset]:
@@ -140,7 +162,7 @@ def _parse_mask(value: str, feature_count: int) -> FeatureMask:
     try:
         mask = _parse_mask_text(value, value, feature_count)
     except UsageError:
-        lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()]
+        lines = [ln.strip() for ln in path.read_text(encoding="utf-8-sig").splitlines()]
         lines = [ln for ln in lines if ln and not ln.startswith("#")]
         if not lines:
             raise UsageError(f"mask file {value} is empty")
@@ -170,7 +192,7 @@ def _parse_mask_text(source: str, value: str, feature_count: int) -> FeatureMask
 def _dataset_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--label-column", default=DEFAULT_LABEL_COLUMN,
                      help="label column name or 0-based index (default %(default)s)")
-    sub.add_argument("--no-header", action="store_true",
+    sub.add_argument("--no-header", dest="has_header", action="store_false",
                      help="files have no header row")
 
 
@@ -193,30 +215,6 @@ def cmd_synth(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
 
-    manifest: list[tuple[str, object]] = [
-        ("command", "synth"),
-        ("n_classes", spec.n_classes),
-        ("n_features", spec.n_features),
-        ("informative_features", spec.informative),
-        ("class_separation", float(spec.class_separation)),
-        ("noise_sd", float(spec.noise_sd)),
-        ("seed", spec.seed),
-    ]
-    if uniform:
-        manifest += [
-            ("mode", "per_class"),
-            ("train_per_class", spec.train_per_class),
-            ("test_per_class", spec.test_per_class),
-        ]
-    else:
-        manifest += [
-            ("mode", "pool_split"),
-            ("class_sizes", sizes),
-            ("pool_size", sum(sizes)),
-            ("test_count", args.test_count),
-            ("stratified", args.stratified),
-        ]
-
     out_dir = Path(args.out_dir)
     train_path = out_dir / "train.csv"
     test_path = out_dir / "test.csv"
@@ -224,7 +222,9 @@ def cmd_synth(args) -> int:
     manifest_path.unlink(missing_ok=True)
     write_csv(train, train_path)
     write_csv(test, test_path)
-    manifest += [
+    mode = [("mode", "per_class")] if uniform else [("mode", "pool_split"),
+                                                     ("pool_size", sum(sizes))]
+    manifest = _flags(args) + mode + [
         ("train_rows", train.n_samples),
         ("test_rows", test.n_samples),
         ("train_file", train_path),
@@ -260,32 +260,14 @@ def cmd_select(args) -> int:
     length = train.feature_count
     eval_n = eval_set.n_samples
 
-    manifest: list[tuple[str, object]] = [
-        ("command", "select"),
-        ("train_file", args.train),
-        ("eval_file", args.eval),
-        ("label_column", args.label_column),
-        ("has_header", not args.no_header),
+    manifest = _flags(args, per_bit_flip_rate=cfg.flip_rate(length)) + _digests(
+        args, "train", "eval", "holdout") + [
         ("train_samples", train.n_samples),
         ("eval_samples", eval_n),
         ("n_classes", len(train.classes)),
         ("original_features", length),
-        ("population_size", cfg.population_size),
-        ("generation_budget", cfg.max_generations),
         ("generations_run", len(trace) - 1),
         ("stopped_by", stopped),
-        ("crossover_prob", cfg.crossover_prob),
-        ("mutation_prob", cfg.mutation_prob),
-        ("per_bit_flip_rate", cfg.flip_rate(length)),
-        ("alpha", cfg.alpha),
-        ("beta", cfg.beta),
-        ("k", cfg.k),
-        ("seed", cfg.seed),
-        ("elite_count", cfg.elite_count),
-        ("tournament_size", cfg.tournament_size),
-        ("stop_on_fitness", cfg.stop_on_fitness),
-        ("stall_generations", cfg.stall_generations),
-        ("normalize", args.normalize),
         ("best_fitness", best.fitness),
         ("final_recognition_hits", best.hits),
         ("final_recognition_rate_percent", f"{100.0 * best.hits / eval_n:.2f}"),
@@ -298,7 +280,6 @@ def cmd_select(args) -> int:
     if holdout is not None:
         h_hits, h_rate, _ = recognition_rate(train, holdout, cfg.k, mask)
         manifest += [
-            ("holdout_file", args.holdout),
             ("holdout_samples", holdout.n_samples),
             ("holdout_hits", h_hits),
             ("holdout_rate_percent", f"{100.0 * h_rate:.2f}"),
@@ -373,14 +354,10 @@ def cmd_project(args) -> int:
     manifest_path = out.with_suffix(".manifest.txt")
     manifest_path.unlink(missing_ok=True)
 
-    manifest: list[tuple[str, object]] = [
-        ("command", "project"),
-        ("dataset_file", args.dataset),
-        ("label_column", args.label_column),
-        ("has_header", not args.no_header),
+    manifest = _flags(args, mask=mask.to_string() if mask else None) + _digests(
+        args, "dataset") + [
         ("samples", data.n_samples),
         ("features", data.feature_count),
-        ("mask", mask.to_string() if mask else None),
     ]
     outputs: list[str] = []
 
@@ -397,7 +374,7 @@ def cmd_project(args) -> int:
                 write_svg_scatter(svg_out, coords, data.labels, data.classes,
                                   x_label=f"feature {a}", y_label=f"feature {b}")
                 outputs.append(str(svg_out))
-        manifest.append(("pairs", ";".join(f"{a},{b}" for a, b in pairs)))
+        manifest.append(("pairs", [f"{a},{b}" for a, b in pairs]))
     else:
         model = fit_pca2(data, mask)
         coords = project_rows(model, data.features)
@@ -413,7 +390,7 @@ def cmd_project(args) -> int:
             ("eigenvalue2", model.eigenvalue2),
         ]
 
-    manifest.append(("outputs", ";".join(outputs)))
+    manifest.append(("outputs", outputs))
     _write_manifest(manifest, manifest_path)
     for artefact in outputs:
         print(f"wrote {artefact}")

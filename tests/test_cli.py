@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: artefacts, replays, exit codes."""
 
+import argparse
 import collections
 import csv
 import hashlib
@@ -63,7 +64,7 @@ def test_synth_default_pool_split_is_187_50(tmp_path, capsys):
     manifest = read_manifest(out / "manifest.txt")
     assert manifest["mode"] == "pool_split"
     assert manifest["pool_size"] == "237"
-    assert manifest["informative_features"] == "70,101,112"
+    assert manifest["informative"] == "70,101,112"
     capsys.readouterr()
 
 
@@ -237,14 +238,13 @@ def test_select_every_ga_flag_reaches_the_summary(data_dir, tmp_path, capsys):
     capsys.readouterr()
     summary = read_manifest(out / "summary.txt")
     for name, (flag, value) in given.items():
-        key = "generation_budget" if name == "max_generations" else name
-        assert summary[key] == cli._fmt(value), flag
+        assert summary[name] == cli._fmt(value), flag
 
 
 def test_config_flags_store_into_the_library_fields(capsys):
     # a flag whose dest misses its field would silently run on the default
     parse = cli.build_parser().parse_args
-    plumbing = {"subcommand", "func", "train", "eval", "out_dir", "label_column", "no_header"}
+    plumbing = {"subcommand", "func", "train", "eval", "out_dir", "label_column", "has_header"}
     select = parse(["select", "t.csv", "e.csv", "--out-dir", "o"])
     assert set(vars(select)) - plumbing - {"normalize", "holdout"} == {
         f.name for f in fields(GaConfig)}
@@ -268,6 +268,7 @@ def test_config_flags_store_into_the_library_fields(capsys):
         "max_length"].default
     assert evaluate.label_column == inspect.signature(load_csv).parameters[
         "label_column"].default
+    assert "has_header" in inspect.signature(load_csv).parameters
 
 
 def test_select_stop_on_fitness_reports_target(data_dir, tmp_path, capsys):
@@ -379,8 +380,13 @@ def test_eval_mask_forms_are_equivalent(data_dir, tmp_path, capsys):
     assert cli.main(["eval", train, test, "--mask", str(mask_file)]) == 0
     by_file = capsys.readouterr().out
 
+    bom_file = tmp_path / "bom.txt"  # as some editors save a UTF-8 file
+    bom_file.write_text("\ufeff1,4\n", encoding="utf-8")
+    assert cli.main(["eval", train, test, "--mask", str(bom_file)]) == 0
+    by_bom_file = capsys.readouterr().out
+
     assert by_string.replace("010010", "M") == by_indices.replace("010010", "M")
-    assert by_file == by_string
+    assert by_file == by_string == by_bom_file
 
 
 def test_eval_reject_ties_flag(data_dir, capsys):
@@ -606,6 +612,120 @@ def test_manifests_record_the_label_column_and_header_flags(data_dir, tmp_path, 
         assert (pairs["label_column"], pairs["has_header"]) == ("0", "false")
     pairs = read_manifest(tmp_path / "d.manifest.txt")
     assert (pairs["label_column"], pairs["has_header"]) == ("label", "true")
+
+
+# ----------------------------------------------------------- replay from the manifest
+
+OUTPUT_DESTS = {"out_dir", "out", "svg"}  # where a run writes, chosen anew by a replay
+PATH_KEYS = {"train_file", "test_file", "outputs"}  # manifest entries naming outputs
+
+
+def replay_argv(manifest):
+    """The argv of a run rebuilt from its manifest alone: each parameter key
+    is the dest of one action of the subcommand, and that action gives its
+    flag. Every such dest must be in the manifest."""
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    argv = [manifest["command"]]
+    for action in subparsers.choices[manifest["command"]]._actions:
+        if action.dest == "help" or action.dest in OUTPUT_DESTS:
+            continue
+        assert action.dest in manifest, f"{action.dest} is not in the manifest"
+        value, flag = manifest[action.dest], action.option_strings[:1]
+        if value == "none":
+            continue
+        if not flag:
+            argv.append(value)
+        elif isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+            argv += flag if value != cli._fmt(action.default) else []
+        elif isinstance(action, argparse._AppendAction):
+            for item in value.split(";"):
+                argv += flag + [item]
+        else:
+            argv += flag + [value]
+    return argv
+
+
+def assert_replays(tmp_path, argv, outputs, manifest_name):
+    """Run ``argv`` with the output flags ``outputs(directory)`` into one fresh
+    directory, check the input digests its manifest records, then run the argv
+    rebuilt from that manifest into another. Every artefact must be the same
+    bytes, and so must the manifest less its output paths. Returns the first
+    manifest."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(argv + outputs(first)) == 0
+    manifest = read_manifest(first / manifest_name)
+    for key, digest in manifest.items():
+        if key.endswith("_sha256"):
+            source = Path(manifest[key.removesuffix("_sha256")])
+            assert hashlib.sha256(source.read_bytes()).hexdigest() == digest, key
+    assert cli.main(replay_argv(manifest) + outputs(second)) == 0
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in second.iterdir())
+    for name in names:
+        if name != manifest_name:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def parameters_and_results(directory):
+        lines = (directory / manifest_name).read_text().splitlines()
+        return [line for line in lines if line.partition(" = ")[0] not in PATH_KEYS]
+
+    assert parameters_and_results(first) == parameters_and_results(second)
+    return manifest
+
+
+def digest_keys(manifest):
+    return {key for key in manifest if key.endswith("_sha256")}
+
+
+@pytest.mark.parametrize("mode", [
+    ["--train-per-class", "5", "--test-per-class", "2"],
+    ["--class-sizes", "6,7,8", "--test-count", "6", "--stratified"],
+], ids=["per_class", "pool_split"])
+def test_synth_replays_from_its_manifest(tmp_path, capsys, mode):
+    argv = ["synth", "--classes", "3", "--features", "6", "--informative", "1,4",
+            "--separation", "3", "--noise-sd", "0.5", "--seed", "21"] + mode
+    manifest = assert_replays(tmp_path, argv, lambda d: ["--out-dir", str(d)],
+                              "manifest.txt")
+    capsys.readouterr()
+    assert digest_keys(manifest) == set()
+
+
+def test_select_replays_from_its_manifest(data_dir, tmp_path, capsys):
+    # headerless copies with the label first, read through --no-header and
+    # --label-column 0; the default alpha and beta add a warnings entry
+    bare = {}
+    for name in ("train", "test"):
+        d = load_csv(data_dir / f"{name}.csv")
+        bare[name] = str(tmp_path / f"{name}_bare.csv")
+        Path(bare[name]).write_text("".join(
+            ",".join([d.classes[lab]] + [repr(float(v)) for v in row]) + "\n"
+            for row, lab in zip(d.features, d.labels)))
+    argv = ["select", bare["train"], bare["test"], "--holdout", bare["train"],
+            "--no-header", "--label-column", "0", "--normalize", "--pop", "10",
+            "--generations", "6", "--seed", "4", "--stall-generations", "4"]
+    manifest = assert_replays(tmp_path, argv, lambda d: ["--out-dir", str(d)],
+                              "summary.txt")
+    capsys.readouterr()
+    assert digest_keys(manifest) == {"train_sha256", "eval_sha256", "holdout_sha256"}
+    assert (manifest["has_header"], manifest["holdout"]) == ("false", bare["train"])
+
+
+@pytest.mark.parametrize("view, bits", [
+    (["--mask", "MASK_FILE"], "010010"),
+    (["--mask", "0,1,4", "--pair", "all", "--pair", "2,3"], "110010"),
+], ids=["pca", "pairs"])
+def test_project_replays_from_its_manifest(data_dir, tmp_path, capsys, view, bits):
+    mask_file = tmp_path / "mask.txt"
+    mask_file.write_text("1,4\n")
+    argv = ["project", str(data_dir / "train.csv")] + [
+        str(mask_file) if arg == "MASK_FILE" else arg for arg in view]
+    manifest = assert_replays(
+        tmp_path, argv, lambda d: ["--out", str(d / "c.csv"), "--svg", str(d / "s.svg")],
+        "c.manifest.txt")
+    capsys.readouterr()
+    assert digest_keys(manifest) == {"dataset_sha256"}
+    assert manifest["mask"] == bits  # resolved, even when --mask names a file
 
 
 # ----------------------------------------------------------- errors & exit codes
