@@ -8,6 +8,13 @@ reproducible: one seeded generator drives every stochastic draw in a fixed
 order.  Individuals are ``FeatureMask`` bit strings, and fitness is a pure
 function of the mask, so each distinct mask is scored once per run.
 
+``evolve`` (a generation's distinct uncached masks) and ``exhaustive_best``
+(the lazily enumerated subsets) score through ``_score``.  It sums the d2 of
+a chunk of masks, as many as fit ``D2_BUDGET`` bytes, in one feature-outer
+``knn._d2`` pass, then calls ``fitness`` once per mask with that mask's d2,
+so the vote is all that is left per mask.  The d2 equals the one-mask sum
+bit for bit at any chunk width.
+
 Draw order per run: population init (per mask: L uniform bit coins,
 plus one repair index if all bits came up 0), then per bred pair: parent A
 tournament indices, parent B tournament indices, crossover coin, cut point
@@ -23,12 +30,12 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .dataset import Dataset, atomic_write
-from .knn import FeatureMask, recognition_rate
+from .knn import FeatureMask, _d2, recognition_rate
 
 
 @dataclass(frozen=True)
@@ -121,14 +128,45 @@ TRACE_COLUMNS = (
 
 
 def fitness(
-    mask: FeatureMask, train: Dataset, eval_set: Dataset, cfg: GaConfig
+    mask: FeatureMask,
+    train: Dataset,
+    eval_set: Dataset,
+    cfg: GaConfig,
+    *,
+    d2: Optional[np.ndarray] = None,
 ) -> tuple[float, int, int]:
-    """Evaluate one mask: (alpha*hits - beta*nf, hits, nf)."""
+    """Evaluate one mask: (alpha*hits - beta*nf, hits, nf).
+
+    ``d2``, if given, is the mask's summed distances, passed on to
+    ``recognition_rate`` (which spends it).
+    """
     nf = mask.active_count
     if nf == 0:
         raise ValueError("all-zero mask must be repaired before evaluation")
-    hits, _, _ = recognition_rate(train, eval_set, cfg.k, mask)
+    hits, _, _ = recognition_rate(train, eval_set, cfg.k, mask, d2=d2)
     return cfg.alpha * hits - cfg.beta * nf, hits, nf
+
+
+D2_BUDGET = 1 << 20  # bytes of summed distances _score holds at once
+
+
+def _score(
+    masks: Iterable[FeatureMask], train: Dataset, eval_set: Dataset, cfg: GaConfig
+) -> Iterator[tuple[FeatureMask, tuple[float, int, int]]]:
+    """``(mask, fitness(mask, ...))`` for each of ``masks``, in order.
+
+    The masks are taken in chunks whose d2 fits ``D2_BUDGET``; each chunk's d2
+    is one feature-outer ``_d2`` pass into a block allocated once per call,
+    and ``fitness`` then only votes on each mask's slice of it.
+    """
+    masks = iter(masks)
+    width = max(1, D2_BUDGET // (8 * eval_set.n_samples * train.n_samples))
+    block = None
+    while chunk := list(itertools.islice(masks, width)):
+        if block is None:
+            block = np.empty((len(chunk), eval_set.n_samples, train.n_samples))
+        for mask, d2 in zip(chunk, _d2(train, eval_set.features, chunk, out=block)):
+            yield mask, fitness(mask, train, eval_set, cfg, d2=d2)
 
 
 def _repair(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -233,9 +271,8 @@ def evolve(
     cache: dict[FeatureMask, tuple[float, int, int]] = {}
 
     def evaluate(masks: list[FeatureMask]) -> list[Individual]:
-        for mask in masks:
-            if mask not in cache:
-                cache[mask] = fitness(mask, train, eval_set, cfg)
+        cache.update(_score(dict.fromkeys(m for m in masks if m not in cache),
+                            train, eval_set, cfg))
         return [Individual(mask, *cache[mask]) for mask in masks]
 
     population = evaluate(init_population(cfg, length, rng))
@@ -291,10 +328,9 @@ def exhaustive_best(
             f"feature count {length} exceeds the exhaustive guard of {max_length}"
         )
     shifts = np.arange(length)
+    subsets = (FeatureMask((m >> shifts) & 1) for m in range(1, 1 << length))
     best = None  # (key, mask, fitness, hits, nf); the smallest key wins
-    for m in range(1, 1 << length):
-        mask = FeatureMask((m >> shifts) & 1)
-        fit, hits, nf = fitness(mask, train, eval_set, cfg)
+    for mask, (fit, hits, nf) in _score(subsets, train, eval_set, cfg):
         # bool bytes order like the 0/1 text, so equal-length masks compare
         # lexicographically
         key = (-fit, nf, mask.bits.tobytes())

@@ -4,11 +4,14 @@ All operations are pure functions of immutable inputs; neighbour ordering and
 vote ties are fully specified so identical inputs always yield identical
 labels, regardless of evaluation order.  ``k_nearest``, ``classify`` and
 ``recognition_rate`` are one-query and whole-test-set calls of one kernel,
-``_knn``, which is ``_vote(_d2(...))``.  ``_d2`` checks the query shape and
-mask, then fills the (queries x train) squared-distance matrix one active
-feature at a time, in ascending feature order.  Each distance is therefore
-the plain left-to-right sum a scalar loop makes, whatever order a library
-routine would choose.  ``_vote`` takes d2 of shape (..., queries, train) and
+``_vote(_d2(...))``.  ``_d2`` checks the query shape and the masks, then
+fills one (queries x train) squared-distance matrix per mask in a single
+feature-outer pass: each active feature's term is computed once and added
+into every mask that uses it, so each mask receives its terms in ascending
+feature order.  Each distance is therefore the plain left-to-right sum a
+scalar loop makes, at any number of masks and whatever order a library
+routine would choose.  ``recognition_rate(..., d2=...)`` only votes on a d2
+summed beforehand.  ``_vote`` takes d2 of shape (..., queries, train) and
 votes every row of every leading index (one per mask, say) in the same
 passes.  The k neighbours of a row come from k argmin passes, so distance
 ties go to the lower sample index.  That costs O(k * queries * train) where
@@ -22,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .dataset import Dataset
 
 REJECT = -1  # returned by classify(reject_ties=True) when no class wins the vote
+_RETIRED = np.iinfo(np.int64).max  # key of a picked neighbour in _vote
 
 
 @dataclass(frozen=True)
@@ -98,25 +102,37 @@ class Neighbor:
     label: int
 
 
-def _d2(train: Dataset, queries, mask: FeatureMask) -> np.ndarray:
-    """(queries x train) squared distances, one term per active feature in
-    ascending order.  A sum too large for a double is +inf, which orders last."""
+def _d2(train: Dataset, queries, masks: Sequence[FeatureMask], out=None) -> np.ndarray:
+    """(masks x queries x train) squared distances in one feature-outer pass.
+
+    Each active feature's term is computed once and added into every mask
+    that uses it, in ascending feature order.  ``out``, if given, holds at
+    least ``len(masks)`` such matrices and is overwritten.  A sum too large
+    for a double is +inf, which orders last."""
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != train.feature_count:
         raise ValueError(f"queries must have the training set's {train.feature_count} features")
-    if mask.length != train.feature_count:
-        raise ValueError(
-            f"mask length {mask.length} does not match feature count {train.feature_count}"
-        )
-    active = mask.active_indices()
-    if active.size == 0:
-        raise ValueError("mask has no active features")
-    d2 = np.zeros((queries.shape[0], train.n_samples))
-    term = np.empty_like(d2)
+    for mask in masks:
+        if mask.length != train.feature_count:
+            raise ValueError(
+                f"mask length {mask.length} does not match feature count {train.feature_count}"
+            )
+        if not mask.bits.any():
+            raise ValueError("mask has no active features")
+    shape = (len(masks), queries.shape[0], train.n_samples)
+    d2 = np.empty(shape) if out is None else out[: len(masks)]
+    d2.fill(0.0)
+    term = np.empty(shape[1:])
+    # (feature, mask) pairs, feature-major
+    features, owners = np.nonzero(np.stack([mask.bits for mask in masks]).T)
+    last = -1
     with np.errstate(over="ignore"):
-        for j in active:
-            np.subtract.outer(queries[:, j], train.features[:, j], out=term)
-            d2 += np.square(term, out=term)
+        for j, m in zip(features.tolist(), owners.tolist()):
+            if j != last:
+                np.subtract.outer(queries[:, j], train.features[:, j], out=term)
+                np.square(term, out=term)
+                last = j
+            d2[m] += term
     return d2
 
 
@@ -147,7 +163,7 @@ def _vote(
     for i in range(k):
         order[:, i] = pick = keys.argmin(axis=1)
         near[:, i] = d2[rows, pick]
-        keys[rows, pick] = np.iinfo(np.int64).max
+        keys[rows, pick] = _RETIRED
 
     # one bincount over (row, class) cells counts every row's votes at once
     cells = (rows[:, None] * n_classes + labels[order]).ravel()
@@ -170,7 +186,7 @@ def _knn(
     train: Dataset, queries, k: int, mask: FeatureMask, reject_ties: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One mask's (neighbour indices, their d2, predicted class) per query row."""
-    return _vote(_d2(train, queries, mask), train.labels, len(train.classes), k, reject_ties)
+    return _vote(_d2(train, queries, [mask])[0], train.labels, len(train.classes), k, reject_ties)
 
 
 def k_nearest(train: Dataset, x, k: int, mask: FeatureMask) -> list[Neighbor]:
@@ -199,16 +215,26 @@ def recognition_rate(
     k: int,
     mask: FeatureMask,
     reject_ties: bool = False,
+    *,
+    d2: Optional[np.ndarray] = None,
 ) -> tuple[int, float, list[tuple[int, int]]]:
     """Classify every test sample; returns (hits, hit rate, per-sample pairs).
 
     ``per_sample`` lists (predicted, actual) label ids in test order, so
     error listings can be reconstructed.  A rejected prediction never counts
-    as a hit.
+    as a hit.  ``d2``, if given, is the mask's (test x train) squared
+    distances as ``_d2`` sums them; the call then only votes, overwriting its
+    picks in ``d2``.
     """
     if train.classes != test.classes:
         raise ValueError("train and test class vocabularies differ")
-    predicted = _knn(train, test.features, k, mask, reject_ties)[2]
+    if d2 is None:
+        d2 = _d2(train, test.features, [mask])[0]
+    elif d2.shape != (test.n_samples, train.n_samples):
+        raise ValueError(
+            f"d2 has shape {d2.shape}, not (test x train) = {(test.n_samples, train.n_samples)}"
+        )
+    predicted = _vote(d2, train.labels, len(train.classes), k, reject_ties)[2]
     hits = int(np.count_nonzero(predicted == test.labels))
     per_sample = list(zip(predicted.tolist(), test.labels.tolist()))
     return hits, hits / test.n_samples, per_sample

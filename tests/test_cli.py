@@ -414,6 +414,24 @@ def test_oracle_matches_library_exhaustive(data_dir, capsys):
     assert got_fit == fit
 
 
+def test_oracle_scores_each_subset_once(data_dir, monkeypatch, capsys):
+    # the benchmark's hooks on these two names must see one call per subset
+    calls = collections.Counter()
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name, len(args)] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in ("fitness", "recognition_rate"):
+        monkeypatch.setattr(ga, name, counted(name, getattr(ga, name)))
+    assert cli.main(["oracle", str(data_dir / "train.csv"), str(data_dir / "test.csv"),
+                     "--alpha", "0.5", "--beta", "0.5"]) == 0
+    assert stdout_field(capsys, "subsets_evaluated") == "63"
+    assert calls == {("fitness", 4): 63, ("recognition_rate", 4): 63}
+
+
 def test_oracle_guard_exit_code(tmp_path, capsys):
     wide = tmp_path / "wide"
     assert cli.main(["synth", "--out-dir", str(wide), "--classes", "2",

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evoknn import cli
+from evoknn import cli, ga
 from evoknn.dataset import Dataset, from_rows, load_csv, unify_vocabulary
+from evoknn.ga import GaConfig, fitness
 from evoknn.knn import (
     REJECT,
     FeatureMask,
@@ -190,6 +191,18 @@ def test_recognition_rate_requires_matching_vocabulary(grid_dataset):
         recognition_rate(grid_dataset, other, 1, FeatureMask.full(3))
 
 
+def test_recognition_rate_refuses_a_d2_of_the_wrong_shape(grid_dataset):
+    test = from_rows([[0.0, 0.5, 0.0], [4.5, 4.0, 0.5]], ["a", "b"])
+    train, test = unify_vocabulary(grid_dataset, test)
+    mask = FeatureMask.full(3)
+    d2 = _d2(train, test.features, [mask])
+    want = recognition_rate(train, test, 1, mask)
+    assert recognition_rate(train, test, 1, mask, d2=d2[0].copy()) == want
+    for bad in (d2, d2[0].T, d2[0, :1]):
+        with pytest.raises(ValueError, match="not \\(test x train\\)"):
+            recognition_rate(train, test, 1, mask, d2=bad)
+
+
 def test_rejected_samples_never_count_as_hits():
     train = from_rows([[0.0], [0.4], [2.0]], ["a", "a", "b"])
     # first query's 2 nearest split a/b (vote tie); second's are both a
@@ -287,7 +300,7 @@ def test_every_k_and_reject_mode_matches_the_oracle_on_integer_grids(problem):
     rows, labels = train.features.tolist(), train.labels.tolist()
     n_classes = len(train.classes)
     # every mask's d2 stacked on a leading axis, voted in one call per k and mode
-    stacked = np.stack([_d2(train, test.features, mask) for mask in masks])
+    stacked = _d2(train, test.features, masks)
     for k in range(1, train.n_samples + 1):
         for reject in (False, True):
             order, near, predicted = _vote(stacked.copy(), train.labels, n_classes,
@@ -363,3 +376,89 @@ def test_full_mask_call_on_the_reference_pair_allocates_under_1_mb(tmp_path, cap
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ----------------------------------------------------------- chunked scoring
+
+@pytest.fixture(scope="module")
+def reference_pair(tmp_path_factory):
+    """The reference synth pool's 187/50 train/test pair."""
+    out = tmp_path_factory.mktemp("reference")
+    assert cli.main(["synth", "--out-dir", str(out), "--seed", "12957"]) == 0
+    return unify_vocabulary(load_csv(out / "train.csv"), load_csv(out / "test.csv"))
+
+
+def scored_at_widths(masks, train, test, cfg):
+    """``ga._score``'s output at chunk widths 1, 2 and more than len(masks)."""
+    matrix = 8 * test.n_samples * train.n_samples
+    runs = []
+    for width in (1, 2, len(masks) + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ga, "D2_BUDGET", width * matrix)
+            runs.append(list(ga._score(masks, train, test, cfg)))
+    return runs
+
+
+def test_stacked_d2_is_each_masks_sequential_sum_bit_for_bit(rng):
+    # one feature-outer pass over masks that share features must still add
+    # each mask's terms in its own ascending feature order
+    for _ in range(10):
+        n_train, length = int(rng.integers(2, 30)), int(rng.integers(1, 30))
+        scale = 10.0 ** rng.integers(-3, 4, size=length)
+        rows = rng.normal(size=(n_train, length)) * scale
+        queries = rng.normal(size=(3, length)) * scale
+        train = from_rows(rows.tolist(), ["a"] * n_train)
+        bits = rng.random((int(rng.integers(1, 8)), length)) < 0.6
+        bits[np.arange(len(bits)), rng.integers(0, length, size=len(bits))] = True
+        masks = [FeatureMask(b) for b in bits]
+        stacked = _d2(train, queries, masks)
+        for mask, got in zip(masks, stacked):
+            active = mask.active_indices().tolist()
+            for q, row in zip(queries.tolist(), got.tolist()):
+                assert row == [d2 for _, d2 in sorted(
+                    nearest_oracle(rows.tolist(), q, n_train, active))]
+
+
+@settings(derandomize=True, database=None)
+@given(grid_problems())
+def test_chunked_scores_equal_one_mask_fitness_on_integer_grids(problem):
+    train, test, masks = problem
+    for k in range(1, train.n_samples + 1):
+        cfg = GaConfig(k=k, alpha=0.5, beta=0.5)
+        want = [(mask, fitness(mask, train, test, cfg)) for mask in masks]
+        assert scored_at_widths(masks, train, test, cfg) == [want] * 3
+
+
+def test_chunked_scores_equal_one_mask_fitness_on_the_reference_pair(reference_pair):
+    train, test = reference_pair
+    length = train.feature_count
+    rng = np.random.default_rng(12957)
+    # overlapping masks of every density, then masks with no feature in common
+    shared = [FeatureMask(rng.random(length) < p) for p in (0.05, 0.3, 0.5, 0.7, 0.95)]
+    disjoint = [FeatureMask.from_indices(range(i, length, 5), length) for i in range(5)]
+    masks = shared + disjoint + [FeatureMask.from_indices([70, 101, 112], length),
+                                 FeatureMask.full(length)]
+    assert all(m.active_count for m in masks)
+    assert np.array_equal(_d2(train, test.features, masks),
+                          [_d2(train, test.features, [m])[0] for m in masks])
+    for k in (1, 3):
+        cfg = GaConfig(k=k, alpha=0.5, beta=0.5)
+        want = [(mask, fitness(mask, train, test, cfg)) for mask in masks]
+        assert scored_at_widths(masks, train, test, cfg) == [want] * 3
+
+
+def test_scoring_a_generation_on_the_reference_pair_allocates_under_1_5_mib(reference_pair):
+    # one d2 block of at most D2_BUDGET bytes, reused per chunk, plus one
+    # (queries x train) term; a whole-generation block would be 3.7 MB here
+    train, test = reference_pair
+    rng = np.random.default_rng(12957)
+    masks = [FeatureMask(rng.random(train.feature_count) < 0.5) for _ in range(50)]
+    cfg = GaConfig(alpha=0.5, beta=0.5)
+    tracemalloc.start()
+    try:
+        scored = list(ga._score(masks, train, test, cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scored) == 50
+    assert peak < 1.5 * (1 << 20)
