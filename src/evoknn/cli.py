@@ -95,6 +95,16 @@ def _write_manifest(pairs: list[tuple[str, object]], path) -> None:
         fh.writelines(f"{key} = {_fmt(value)}\n" for key, value in pairs)
 
 
+def _refuse_line_breaks(args, *flags: str) -> None:
+    """A manifest holds one ``key = value`` per line, so an echoed input path
+    with a line break would run onto the next: refuse it before any work."""
+    for flag in flags:
+        path = getattr(args, flag.lstrip("-"))
+        if path is not None and "".join(path.splitlines()) != path:
+            raise UsageError(f"{flag} path {path!r} holds a line break, "
+                             "which the manifest cannot record")
+
+
 def _parse_int_list(text: str, what: str) -> list[int]:
     """Comma-separated canonical decimals, each ``0|[1-9][0-9]*``: no sign,
     space, underscore or leading zero, so ``007`` and ``01`` are refused."""
@@ -239,6 +249,7 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- select
 
 def cmd_select(args) -> int:
+    _refuse_line_breaks(args, "train", "eval", "--holdout")
     paths = [args.train, args.eval] + ([args.holdout] if args.holdout else [])
     train, eval_set, *rest = _load_problem(args, *paths, normalize=args.normalize)
     holdout = rest[0] if rest else None
@@ -347,6 +358,7 @@ def _expand_pairs(pair_args: list[str], mask: Optional[FeatureMask],
 
 
 def cmd_project(args) -> int:
+    _refuse_line_breaks(args, "dataset")
     data = _load(args.dataset, args)
     mask = _parse_mask(args.mask, data.feature_count) if args.mask else None
     pairs = _expand_pairs(args.pair, mask, data.feature_count) if args.pair else []

@@ -11,9 +11,13 @@ function of the mask, so each distinct mask is scored once per run.
 ``evolve`` (a generation's distinct uncached masks) and ``exhaustive_best``
 (the lazily enumerated subsets) score through ``_score``.  It sums the d2 of
 a chunk of masks, as many as fit ``D2_BUDGET`` bytes, in one feature-outer
-``knn._d2`` pass, then calls ``fitness`` once per mask with that mask's d2,
-so the vote is all that is left per mask.  The d2 equals the one-mask sum
-bit for bit at any chunk width.
+``knn._d2`` pass and votes the whole (masks, queries, train) block with one
+``knn._vote`` call.  It then calls ``fitness`` once per mask with that mask's
+row of predictions, so counting hits is all that is left per mask.  That
+per-mask call stays while the benchmark's hooks count and time it, until
+they count the chunked calls instead.  The d2 equals the one-mask sum bit
+for bit at any chunk width, and the stacked vote applies the one-mask tie
+rules to each row.
 
 Draw order per run: population init (per mask: L uniform bit coins,
 plus one repair index if all bits came up 0), then per bred pair: parent A
@@ -35,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .dataset import Dataset, atomic_write
-from .knn import FeatureMask, _d2, recognition_rate
+from .knn import FeatureMask, _d2, _vote, recognition_rate
 
 
 @dataclass(frozen=True)
@@ -133,17 +137,17 @@ def fitness(
     eval_set: Dataset,
     cfg: GaConfig,
     *,
-    d2: Optional[np.ndarray] = None,
+    predicted: Optional[np.ndarray] = None,
 ) -> tuple[float, int, int]:
     """Evaluate one mask: (alpha*hits - beta*nf, hits, nf).
 
-    ``d2``, if given, is the mask's summed distances, passed on to
-    ``recognition_rate`` (which spends it).
+    ``predicted``, if given, is the mask's predicted class per evaluation
+    sample, passed on to ``recognition_rate`` (which then only counts hits).
     """
     nf = mask.active_count
     if nf == 0:
         raise ValueError("all-zero mask must be repaired before evaluation")
-    hits, _, _ = recognition_rate(train, eval_set, cfg.k, mask, d2=d2)
+    hits, _, _ = recognition_rate(train, eval_set, cfg.k, mask, predicted=predicted)
     return cfg.alpha * hits - cfg.beta * nf, hits, nf
 
 
@@ -157,7 +161,8 @@ def _score(
 
     The masks are taken in chunks whose d2 fits ``D2_BUDGET``; each chunk's d2
     is one feature-outer ``_d2`` pass into a block allocated once per call,
-    and ``fitness`` then only votes on each mask's slice of it.
+    voted in place by one ``_vote``, and ``fitness`` then only counts each
+    mask's hits in its row of the predictions.
     """
     masks = iter(masks)
     width = max(1, D2_BUDGET // (8 * eval_set.n_samples * train.n_samples))
@@ -165,8 +170,10 @@ def _score(
     while chunk := list(itertools.islice(masks, width)):
         if block is None:
             block = np.empty((len(chunk), eval_set.n_samples, train.n_samples))
-        for mask, d2 in zip(chunk, _d2(train, eval_set.features, chunk, out=block)):
-            yield mask, fitness(mask, train, eval_set, cfg, d2=d2)
+        d2 = _d2(train, eval_set.features, chunk, out=block)
+        predicted = _vote(d2, train.labels, len(train.classes), cfg.k)[2]
+        for mask, row in zip(chunk, predicted):
+            yield mask, fitness(mask, train, eval_set, cfg, predicted=row)
 
 
 def _repair(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -10,15 +10,17 @@ feature-outer pass: each active feature's term is computed once and added
 into every mask that uses it, so each mask receives its terms in ascending
 feature order.  Each distance is therefore the plain left-to-right sum a
 scalar loop makes, at any number of masks and whatever order a library
-routine would choose.  ``recognition_rate(..., d2=...)`` only votes on a d2
-summed beforehand.  ``_vote`` takes d2 of shape (..., queries, train) and
+routine would choose.  ``_vote`` takes d2 of shape (..., queries, train) and
 votes every row of every leading index (one per mask, say) in the same
-passes.  The k neighbours of a row come from k argmin passes, so distance
-ties go to the lower sample index.  That costs O(k * queries * train) where
-a sort costs O(queries * train * log train); the paper and its workloads use
-k <= 3.  A vote tie goes to the class whose voting neighbours have the
-smallest summed distance, then to the smaller class id, or to ``REJECT`` in
-reject mode.
+passes, so the GA votes each chunk of masks with one call.
+``recognition_rate(..., predicted=...)`` then only counts one mask's hits in
+its row of that vote; the GA keeps this per-mask call while the benchmark's
+hooks count and time it.  The k neighbours of a row come from k argmin
+passes, so distance ties go to the lower sample index.  That costs
+O(k * queries * train) where a sort costs O(queries * train * log train);
+the paper and its workloads use k <= 3.  A vote tie goes to the class whose
+voting neighbours have the smallest summed distance, then to the smaller
+class id, or to ``REJECT`` in reject mode.
 """
 
 from __future__ import annotations
@@ -216,25 +218,24 @@ def recognition_rate(
     mask: FeatureMask,
     reject_ties: bool = False,
     *,
-    d2: Optional[np.ndarray] = None,
+    predicted: Optional[np.ndarray] = None,
 ) -> tuple[int, float, list[tuple[int, int]]]:
     """Classify every test sample; returns (hits, hit rate, per-sample pairs).
 
     ``per_sample`` lists (predicted, actual) label ids in test order, so
     error listings can be reconstructed.  A rejected prediction never counts
-    as a hit.  ``d2``, if given, is the mask's (test x train) squared
-    distances as ``_d2`` sums them; the call then only votes, overwriting its
-    picks in ``d2``.
+    as a hit.  ``predicted``, if given, is the mask's predicted class per test
+    sample as ``_vote`` returns it; the call then only counts hits.
     """
     if train.classes != test.classes:
         raise ValueError("train and test class vocabularies differ")
-    if d2 is None:
+    if predicted is None:
         d2 = _d2(train, test.features, [mask])[0]
-    elif d2.shape != (test.n_samples, train.n_samples):
+        predicted = _vote(d2, train.labels, len(train.classes), k, reject_ties)[2]
+    elif predicted.shape != (test.n_samples,):
         raise ValueError(
-            f"d2 has shape {d2.shape}, not (test x train) = {(test.n_samples, train.n_samples)}"
+            f"predicted has shape {predicted.shape}, not (test,) = {(test.n_samples,)}"
         )
-    predicted = _vote(d2, train.labels, len(train.classes), k, reject_ties)[2]
     hits = int(np.count_nonzero(predicted == test.labels))
     per_sample = list(zip(predicted.tolist(), test.labels.tolist()))
     return hits, hits / test.n_samples, per_sample

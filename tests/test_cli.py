@@ -177,11 +177,39 @@ def _synth_and_select(base, synth_flags, select_flags):
     return out
 
 
+def _record_chunks(mp):
+    """Patch ``ga._d2`` and ``ga._vote`` to log, in call order, each d2
+    pass's mask count and each vote's d2 shape: a list of (name, size)."""
+    seen = []
+    d2, vote = ga._d2, ga._vote
+
+    def logged_d2(train, queries, masks, *args, **kwargs):
+        seen.append(("_d2", len(masks)))
+        return d2(train, queries, masks, *args, **kwargs)
+
+    def logged_vote(block, *args, **kwargs):
+        seen.append(("_vote", block.shape))
+        return vote(block, *args, **kwargs)
+
+    mp.setattr(ga, "_d2", logged_d2)
+    mp.setattr(ga, "_vote", logged_vote)
+    return seen
+
+
+def _assert_one_vote_per_chunk(seen, n_masks, queries, train):
+    # each chunk's d2 pass is followed by one vote on its whole 3-D block
+    widths = [size for _, size in seen[0::2]]
+    assert [name for name, _ in seen] == ["_d2", "_vote"] * len(widths)
+    assert [shape for _, shape in seen[1::2]] == [(w, queries, train) for w in widths]
+    assert sum(widths) == n_masks
+
+
 @pytest.fixture(scope="module")
-def reference_select(tmp_path_factory):
+def reference_run(tmp_path_factory):
     """The last (reference) run of GOLDEN_SELECT_RUNS, made once per module
     with every ``ga.fitness`` and ``ga.recognition_rate`` call counted by
-    name and number of positional arguments: (out dir, counts)."""
+    name and number of positional arguments, and every ``ga._d2`` and
+    ``ga._vote`` call logged: (out dir, counts, chunk log)."""
     calls = collections.Counter()
 
     def counted(name, func):
@@ -193,9 +221,16 @@ def reference_select(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         for name in ("fitness", "recognition_rate"):
             mp.setattr(ga, name, counted(name, getattr(ga, name)))
+        seen = _record_chunks(mp)
         out = _synth_and_select(tmp_path_factory.mktemp("reference"),
                                 *GOLDEN_SELECT_RUNS[-1][:2])
-    return out, calls
+    return out, calls, seen
+
+
+@pytest.fixture(scope="module")
+def reference_select(reference_run):
+    """The reference run's (out dir, counts)."""
+    return reference_run[:2]
 
 
 def test_select_trace_matches_golden_digest(tmp_path, capsys, reference_select):
@@ -214,6 +249,11 @@ def test_reference_select_scores_each_distinct_mask_once(reference_select):
     out, calls = reference_select
     assert read_manifest(out / "summary.txt")["generations_run"] == "115"
     assert calls == {("fitness", 4): 4760, ("recognition_rate", 4): 4760}
+
+
+def test_reference_select_votes_each_scored_chunk_once(reference_run):
+    # 4,760 fresh masks of the 187-row train set on the 50-row eval set
+    _assert_one_vote_per_chunk(reference_run[2], 4760, 50, 187)
 
 
 def test_select_every_ga_flag_reaches_the_summary(data_dir, tmp_path, capsys):
@@ -430,6 +470,15 @@ def test_oracle_scores_each_subset_once(data_dir, monkeypatch, capsys):
                      "--alpha", "0.5", "--beta", "0.5"]) == 0
     assert stdout_field(capsys, "subsets_evaluated") == "63"
     assert calls == {("fitness", 4): 63, ("recognition_rate", 4): 63}
+
+
+def test_oracle_votes_each_scored_chunk_once(data_dir, monkeypatch, capsys):
+    seen = _record_chunks(monkeypatch)
+    assert cli.main(["oracle", str(data_dir / "train.csv"), str(data_dir / "test.csv"),
+                     "--alpha", "0.5", "--beta", "0.5"]) == 0
+    capsys.readouterr()
+    # 63 subsets of 6 features, 12 eval rows against 24 train rows
+    _assert_one_vote_per_chunk(seen, 63, 12, 24)
 
 
 def test_oracle_guard_exit_code(tmp_path, capsys):
@@ -864,6 +913,26 @@ def test_feature_count_mismatch_is_a_data_error_before_any_work(data_dir, tmp_pa
         assert cli.main(argv) == 1, argv
         assert wrong in capsys.readouterr().err, argv
         assert list(run.glob("*")) == [], argv
+
+
+@pytest.mark.parametrize("flag", ["train", "eval", "--holdout", "dataset"])
+def test_input_path_with_a_line_break_is_a_usage_error_before_any_work(
+        data_dir, tmp_path, capsys, flag):
+    # a manifest holds one `key = value` per line, so such a path would
+    # spill its echo onto a second line that no longer parses or replays
+    odd = tmp_path / "tr\nain.csv"
+    odd.write_bytes((data_dir / "train.csv").read_bytes())
+    paths = {"train": data_dir / "train.csv", "eval": data_dir / "test.csv",
+             "--holdout": data_dir / "test.csv", flag: odd}
+    run, coords = tmp_path / "run", tmp_path / "viz" / "coords.csv"
+    if flag == "dataset":
+        argv = ["project", str(odd), "--out", str(coords)]
+    else:
+        argv = ["select", str(paths["train"]), str(paths["eval"]),
+                "--holdout", str(paths["--holdout"]), "--out-dir", str(run)] + SELECT_FLAGS
+    assert cli.main(argv) == 2
+    assert f"usage error: {flag} path" in capsys.readouterr().err
+    assert not run.exists() and not coords.parent.exists()
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -191,16 +191,17 @@ def test_recognition_rate_requires_matching_vocabulary(grid_dataset):
         recognition_rate(grid_dataset, other, 1, FeatureMask.full(3))
 
 
-def test_recognition_rate_refuses_a_d2_of_the_wrong_shape(grid_dataset):
+def test_recognition_rate_refuses_predictions_of_the_wrong_shape(grid_dataset):
     test = from_rows([[0.0, 0.5, 0.0], [4.5, 4.0, 0.5]], ["a", "b"])
     train, test = unify_vocabulary(grid_dataset, test)
     mask = FeatureMask.full(3)
-    d2 = _d2(train, test.features, [mask])
+    predicted = _vote(_d2(train, test.features, [mask]), train.labels,
+                      len(train.classes), 1)[2]
     want = recognition_rate(train, test, 1, mask)
-    assert recognition_rate(train, test, 1, mask, d2=d2[0].copy()) == want
-    for bad in (d2, d2[0].T, d2[0, :1]):
-        with pytest.raises(ValueError, match="not \\(test x train\\)"):
-            recognition_rate(train, test, 1, mask, d2=bad)
+    assert recognition_rate(train, test, 1, mask, predicted=predicted[0]) == want
+    for bad in (predicted, predicted.T, predicted[0, :1]):
+        with pytest.raises(ValueError, match="not \\(test,\\)"):
+            recognition_rate(train, test, 1, mask, predicted=bad)
 
 
 def test_rejected_samples_never_count_as_hits():
