@@ -96,10 +96,10 @@ def _write_manifest(pairs: list[tuple[str, object]], path) -> None:
 
 
 def _refuse_line_breaks(args, *flags: str) -> None:
-    """A manifest holds one ``key = value`` per line, so an echoed input path
-    with a line break would run onto the next: refuse it before any work."""
+    """A manifest holds one ``key = value`` per line, so an echoed path with
+    a line break would run onto the next: refuse it before any work."""
     for flag in flags:
-        path = getattr(args, flag.lstrip("-"))
+        path = getattr(args, flag.lstrip("-").replace("-", "_"))
         if path is not None and "".join(path.splitlines()) != path:
             raise UsageError(f"{flag} path {path!r} holds a line break, "
                              "which the manifest cannot record")
@@ -209,6 +209,7 @@ def _dataset_flags(sub: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(args) -> int:
+    _refuse_line_breaks(args, "--out-dir")
     uniform = args.train_per_class is not None or args.test_per_class is not None
     if uniform and (args.train_per_class is None or args.test_per_class is None):
         raise UsageError("--train-per-class and --test-per-class go together")
@@ -358,7 +359,7 @@ def _expand_pairs(pair_args: list[str], mask: Optional[FeatureMask],
 
 
 def cmd_project(args) -> int:
-    _refuse_line_breaks(args, "dataset")
+    _refuse_line_breaks(args, "dataset", "--out", "--svg")
     data = _load(args.dataset, args)
     mask = _parse_mask(args.mask, data.feature_count) if args.mask else None
     pairs = _expand_pairs(args.pair, mask, data.feature_count) if args.pair else []
@@ -414,14 +415,14 @@ def cmd_project(args) -> int:
 def cmd_oracle(args) -> int:
     train, eval_set = _load_problem(args, args.train, args.eval)
     cfg, _ = _ga_config(args)
-    mask, fitness_value, hits, nf = exhaustive_best(
+    mask, fitness_value, hits, nf, scored = exhaustive_best(
         train, eval_set, cfg, max_length=args.max_features
     )
     print("command = oracle")
     print(f"alpha = {cfg.alpha!r}")
     print(f"beta = {cfg.beta!r}")
     print(f"k = {cfg.k}")
-    print(f"subsets_evaluated = {(1 << train.feature_count) - 1}")
+    print(f"subsets_evaluated = {scored}")
     print(f"best_mask = {mask.to_string()}")
     print(f"best_features = {mask.to_index_string()}")
     print(f"best_fitness = {fitness_value!r}")

@@ -8,16 +8,17 @@ reproducible: one seeded generator drives every stochastic draw in a fixed
 order.  Individuals are ``FeatureMask`` bit strings, and fitness is a pure
 function of the mask, so each distinct mask is scored once per run.
 
-``evolve`` (a generation's distinct uncached masks) and ``exhaustive_best``
-(the lazily enumerated subsets) score through ``_score``.  It sums the d2 of
-a chunk of masks, as many as fit ``D2_BUDGET`` bytes, in one feature-outer
-``knn._d2`` pass and votes the whole (masks, queries, train) block with one
-``knn._vote`` call.  It then calls ``fitness`` once per mask with that mask's
-row of predictions, so counting hits is all that is left per mask.  That
-per-mask call stays while the benchmark's hooks count and time it, until
-they count the chunked calls instead.  The d2 equals the one-mask sum bit
-for bit at any chunk width, and the stacked vote applies the one-mask tie
-rules to each row.
+``evolve`` scores a generation's distinct uncached masks through
+``_score``.  It sums the d2 of a chunk of masks, as many as fit
+``D2_BUDGET`` bytes, in one feature-outer ``knn._d2`` pass and votes the
+whole (masks, queries, train) block with one ``knn._vote`` call.
+``exhaustive_best`` builds its d2 blocks itself, each subset's d2 being its
+parent prefix plus one term, and votes each block with one ``_vote`` call.
+Both then call ``fitness`` once per mask with that mask's row of
+predictions, so counting hits is all that is left per mask.  That per-mask
+call stays while the benchmark's hooks count and time it, until they count
+the blocks instead.  Either d2 equals the one-mask sum bit for bit, and the
+stacked vote applies the one-mask tie rules to each row.
 
 Draw order per run: population init (per mask: L uniform bit coins,
 plus one repair index if all bits came up 0), then per bred pair: parent A
@@ -151,13 +152,14 @@ def fitness(
     return cfg.alpha * hits - cfg.beta * nf, hits, nf
 
 
-D2_BUDGET = 1 << 20  # bytes of summed distances _score holds at once
+D2_BUDGET = 1 << 20  # bytes of summed distances _score or exhaustive_best holds at once
 
 
 def _score(
     masks: Iterable[FeatureMask], train: Dataset, eval_set: Dataset, cfg: GaConfig
 ) -> Iterator[tuple[FeatureMask, tuple[float, int, int]]]:
-    """``(mask, fitness(mask, ...))`` for each of ``masks``, in order.
+    """``(mask, fitness(mask, ...))`` for each of ``masks``, in order.  Only
+    ``evolve`` scores through it.
 
     The masks are taken in chunks whose d2 fits ``D2_BUDGET``; each chunk's d2
     is one feature-outer ``_d2`` pass into a block allocated once per call,
@@ -317,35 +319,91 @@ def evolve(
         population = elites + evaluate(offspring[:need])
 
 
-EXHAUSTIVE_GUARD = 15
+EXHAUSTIVE_GUARD = 20
+
+
+def _term(train: Dataset, queries: np.ndarray, j: int) -> np.ndarray:
+    """Feature ``j``'s (queries x train) squared differences."""
+    term = np.subtract.outer(queries[:, j], train.features[:, j])
+    return np.square(term, out=term)
+
+
+def _walk(train: Dataset, queries: np.ndarray, prefix, bits: np.ndarray, start: int):
+    """``(prefix, bits)`` of this node of the subset walk, then of every node
+    below it, depth first.  A child adds one feature ``j >= start`` to the
+    low set ``bits``, and its d2 prefix is this one plus feature ``j``'s
+    term.  It is not nested in ``exhaustive_best``: a nested generator that
+    calls itself is a reference cycle, which would hold that call's block
+    until the cycle collector runs."""
+    yield prefix, bits
+    for j in range(start, bits.size):
+        child = bits.copy()
+        child[j] = True
+        yield from _walk(train, queries, prefix + _term(train, queries, j), child, j + 1)
 
 
 def exhaustive_best(
     train: Dataset, eval_set: Dataset, cfg: GaConfig, max_length: int = EXHAUSTIVE_GUARD
-) -> tuple[FeatureMask, float, int, int]:
+) -> tuple[FeatureMask, float, int, int, int]:
     """Evaluate every non-empty feature subset; the global fitness optimum.
 
-    Guarded to ``feature_count <= max_length`` since the subset count doubles
-    per feature.  Ties are broken by fewer active features, then by the
-    lexicographically smaller mask string.
+    Returns ``(mask, fitness, hits, nf, scored)``, ``scored`` being the number
+    of subsets evaluated.  Guarded to ``feature_count <= max_length`` since
+    the subset count doubles per feature.  Ties are broken by fewer active
+    features, then by the lexicographically smaller mask string.
+
+    Each subset's d2 is its parent prefix plus one term (Narendra & Fukunaga,
+    1977).  The top ``b`` features, as many as let ``2**b`` d2 matrices fit
+    ``D2_BUDGET`` bytes, span one block; the low features are walked depth
+    first, each node holding the ascending sum of its low set.  At each node
+    the block is filled row by row, row ``r | 2**i`` being row ``r`` plus high
+    feature ``i``'s term, so every row adds its features in ascending order:
+    ``knn._d2``'s sum, bit for bit.  One ``_vote`` then votes the whole block.
+    Each term is computed where it is added, not kept, so what is held is
+    the block and one prefix per level of the walk.
     """
     length = train.feature_count
     if length > max_length:
         raise ValueError(
             f"feature count {length} exceeds the exhaustive guard of {max_length}"
         )
-    shifts = np.arange(length)
-    subsets = (FeatureMask((m >> shifts) & 1) for m in range(1, 1 << length))
+    queries = eval_set.features
+    shape = (eval_set.n_samples, train.n_samples)
+    # the largest b with 2**b d2 matrices within D2_BUDGET, at least 0
+    fits = D2_BUDGET // (8 * shape[0] * shape[1])
+    b = min(length, max(0, fits.bit_length() - 1))
+    low = length - b
+    high_bits = (np.arange(1 << b)[:, None] >> np.arange(b) & 1).astype(bool)
+
+    block = np.empty((1 << b, *shape))
+
+    def block_scores(prefix, bits: np.ndarray) -> list:
+        """(mask, fitness) of each subset in the block of low bits ``bits``."""
+        block[0] = prefix
+        for i in range(b):
+            np.add(block[: 1 << i], _term(train, queries, low + i),
+                   out=block[1 << i : 2 << i])
+        rows = slice(0 if bits.any() else 1, None)  # the root's row 0 is the empty mask
+        predicted = _vote(block[rows], train.labels, len(train.classes), cfg.k)[2]
+        masks = [FeatureMask(np.concatenate([bits, high])) for high in high_bits[rows]]
+        return [(mask, fitness(mask, train, eval_set, cfg, predicted=row))
+                for mask, row in zip(masks, predicted)]
+
     best = None  # (key, mask, fitness, hits, nf); the smallest key wins
-    for mask, (fit, hits, nf) in _score(subsets, train, eval_set, cfg):
-        # bool bytes order like the 0/1 text, so equal-length masks compare
-        # lexicographically
-        key = (-fit, nf, mask.bits.tobytes())
-        if best is None or key < best[0]:
-            best = (key, mask, fit, hits, nf)
+    scored = 0
+    with np.errstate(over="ignore"):
+        # the root is the empty low set, whose d2 prefix is 0.0
+        for prefix, bits in _walk(train, queries, 0.0, np.zeros(low, dtype=bool), 0):
+            for mask, (fit, hits, nf) in block_scores(prefix, bits):
+                scored += 1
+                # bool bytes order like the 0/1 text, so equal-length masks
+                # compare lexicographically
+                key = (-fit, nf, mask.bits.tobytes())
+                if best is None or key < best[0]:
+                    best = (key, mask, fit, hits, nf)
     assert best is not None
     _, mask, fit, hits, nf = best
-    return mask, fit, hits, nf
+    return mask, fit, hits, nf, scored
 
 
 def write_trace(trace: list[GenerationStats], path) -> None:

@@ -125,7 +125,7 @@ def test_ac3_ga_attains_exhaustive_optimum_on_small_problems():
                          train_per_class=8, test_per_class=4, seed=seed)
         train, test = generate(spec)
         cfg = quiet_config(population_size=50, max_generations=150, seed=seed)
-        _, best_fit, _, _ = exhaustive_best(train, test, cfg, max_length=10)
+        _, best_fit, _, _, _ = exhaustive_best(train, test, cfg, max_length=10)
         best, _, _ = evolve(train, test, cfg)
         exact += best.fitness == best_fit
         if best.fitness < best_fit - 0.05 * abs(best_fit):
@@ -137,6 +137,22 @@ def test_ac3_ga_attains_exhaustive_optimum_on_small_problems():
         exact >= 4 and all_within_5pct and elapsed < 60.0,
         f"exact on {exact}/5 (ga/oracle: {', '.join(details)}), {elapsed:.1f}s",
     )
+
+
+def test_ga_attains_the_exhaustive_optimum_of_a_16_feature_problem():
+    """Beyond AC-3's 10 features: the enumerator scores all 65,535 subsets of
+    16 features, finds the planted set, and the GA (population 50, 150
+    generations) reaches the same fitness."""
+    spec = SynthSpec(n_classes=5, n_features=16, informative=(2, 8, 13),
+                     class_separation=6.0, noise_sd=1.0,
+                     train_per_class=8, test_per_class=4, seed=1)
+    train, test = generate(spec)
+    cfg = quiet_config(population_size=50, max_generations=150, seed=1)
+    mask, best_fit, _, _, scored = exhaustive_best(train, test, cfg, max_length=16)
+    best, _, _ = evolve(train, test, cfg)
+    assert scored == (1 << 16) - 1
+    assert mask.to_index_string() == "2,8,13"
+    assert best.fitness == best_fit
 
 
 def test_ac4_fitness_arithmetic_is_exact():

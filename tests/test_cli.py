@@ -445,13 +445,15 @@ def test_oracle_matches_library_exhaustive(data_dir, capsys):
     out = capsys.readouterr().out
     got_mask = re.search(r"^best_mask = ([01]+)$", out, re.MULTILINE).group(1)
     got_fit = float(re.search(r"^best_fitness = (.+)$", out, re.MULTILINE).group(1))
+    got_scored = int(re.search(r"^subsets_evaluated = (.+)$", out, re.MULTILINE).group(1))
 
     train, test = unify_vocabulary(load_csv(data_dir / "train.csv"),
                                    load_csv(data_dir / "test.csv"))
     cfg = GaConfig(alpha=0.5, beta=0.5, seed=0)
-    mask, fit, hits, nf = exhaustive_best(train, test, cfg)
+    mask, fit, hits, nf, scored = exhaustive_best(train, test, cfg)
     assert got_mask == mask.to_string()
     assert got_fit == fit
+    assert got_scored == scored == 63
 
 
 def test_oracle_scores_each_subset_once(data_dir, monkeypatch, capsys):
@@ -477,8 +479,13 @@ def test_oracle_votes_each_scored_chunk_once(data_dir, monkeypatch, capsys):
     assert cli.main(["oracle", str(data_dir / "train.csv"), str(data_dir / "test.csv"),
                      "--alpha", "0.5", "--beta", "0.5"]) == 0
     capsys.readouterr()
-    # 63 subsets of 6 features, 12 eval rows against 24 train rows
-    _assert_one_vote_per_chunk(seen, 63, 12, 24)
+    # the enumerator extends prefixes itself, so it makes no _d2 pass; its
+    # votes cover the 63 subsets of 6 features, 12 eval rows against 24 train
+    # rows, in blocks of at most D2_BUDGET bytes
+    assert {name for name, _ in seen} == {"_vote"}
+    assert sum(shape[0] for _, shape in seen) == 63
+    assert all(shape[1:] == (12, 24) for _, shape in seen)
+    assert all(8 * np.prod(shape) <= ga.D2_BUDGET for _, shape in seen)
 
 
 def test_oracle_guard_exit_code(tmp_path, capsys):
@@ -933,6 +940,25 @@ def test_input_path_with_a_line_break_is_a_usage_error_before_any_work(
     assert cli.main(argv) == 2
     assert f"usage error: {flag} path" in capsys.readouterr().err
     assert not run.exists() and not coords.parent.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out-dir", "--out", "--svg"])
+def test_output_path_with_a_line_break_is_a_usage_error_before_any_write(
+        data_dir, tmp_path, capsys, flag):
+    # synth echoes its out dir into the manifest's train_file and test_file,
+    # project its outputs into `outputs`
+    odd = str(tmp_path / "nl" / "a\nb")
+    if flag == "--out-dir":
+        argv = ["synth", "--out-dir", odd, "--classes", "2", "--features", "3",
+                "--informative", "1", "--train-per-class", "3", "--test-per-class", "2"]
+    else:
+        paths = {"--out": str(tmp_path / "nl" / "coords.csv"),
+                 "--svg": str(tmp_path / "nl" / "scatter.svg"), flag: odd}
+        argv = ["project", str(data_dir / "train.csv"), "--out", paths["--out"],
+                "--svg", paths["--svg"]]
+    assert cli.main(argv) == 2
+    assert f"usage error: {flag} path" in capsys.readouterr().err
+    assert not (tmp_path / "nl").exists()
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,11 +1,15 @@
 """Genetic-loop mechanics: operators, determinism, caching, exhaustive search."""
 
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from evoknn.dataset import from_rows
+from evoknn import ga
+from evoknn.dataset import Dataset, from_rows
 from evoknn.ga import (
     GaConfig,
     Individual,
@@ -348,7 +352,7 @@ def test_write_trace_format(tmp_path):
 def test_exhaustive_best_matches_pure_python_oracle():
     train, test = tiny_problem(seed=6)
     cfg = quiet_config(alpha=0.5, beta=0.3, k=1)
-    mask, fit, hits, nf = exhaustive_best(train, test, cfg, max_length=6)
+    mask, fit, hits, nf, scored = exhaustive_best(train, test, cfg, max_length=6)
     bits, ofit, ohits, onf = exhaustive_oracle(
         train.features.tolist(), train.labels.tolist(),
         test.features.tolist(), test.labels.tolist(),
@@ -356,6 +360,7 @@ def test_exhaustive_best_matches_pure_python_oracle():
     )
     assert fit == ofit and hits == ohits and nf == onf
     assert tuple(int(b) for b in mask.bits) == bits
+    assert scored == 63
 
 
 def test_exhaustive_best_prefers_fewer_features_on_fitness_ties():
@@ -365,8 +370,8 @@ def test_exhaustive_best_prefers_fewer_features_on_fitness_ties():
     train = from_rows([[0.0, 0.0], [4.0, 4.0]], ["a", "b"])
     test = from_rows([[0.5, 0.5], [3.5, 3.5]], ["a", "b"])
     cfg = quiet_config(alpha=1.0, beta=0.0, k=1)
-    mask, fit, hits, nf = exhaustive_best(train, test, cfg, max_length=4)
-    assert hits == 2 and nf == 1
+    mask, fit, hits, nf, scored = exhaustive_best(train, test, cfg, max_length=4)
+    assert hits == 2 and nf == 1 and scored == 3
     assert mask.to_string() == "01"  # "01" < "10"
 
 
@@ -374,3 +379,134 @@ def test_exhaustive_guard_rejects_wide_problems():
     wide = from_rows([list(range(16)), list(range(16, 32))], ["a", "b"])
     with pytest.raises(ValueError, match="guard"):
         exhaustive_best(wide, wide, quiet_config(), max_length=15)
+    wider = from_rows([list(range(21)), list(range(21, 42))], ["a", "b"])
+    with pytest.raises(ValueError, match="guard of 20"):
+        exhaustive_best(wider, wider, quiet_config())
+
+
+def block_budget(train, test, b):
+    """A ``D2_BUDGET`` that gives ``exhaustive_best`` a block of 2**b rows."""
+    return (1 << b) * 8 * test.n_samples * train.n_samples
+
+
+def scored_by_fitness(monkeypatch):
+    """Wrap ``ga.fitness`` to log every ``(mask, result)`` it returns."""
+    log = []
+    inner = ga.fitness
+
+    def logged(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        log.append((args[0], result))
+        return result
+
+    monkeypatch.setattr(ga, "fitness", logged)
+    return log
+
+
+@pytest.mark.parametrize("b", [0, 2, 6])
+def test_exhaustive_best_scores_every_subset_exactly_once(monkeypatch, b):
+    # b = 0 walks every subset as a node, b = 6 fills one block of all 6
+    # features, b = 2 splits them
+    train, test = tiny_problem(seed=3)
+    monkeypatch.setattr(ga, "D2_BUDGET", block_budget(train, test, b))
+    log = scored_by_fitness(monkeypatch)
+    *_, scored = exhaustive_best(train, test, quiet_config(alpha=0.5, beta=0.5))
+    masks = [mask.to_string() for mask, _ in log]
+    assert scored == len(masks) == 63
+    assert sorted(masks) == [format(m, "06b") for m in range(1, 64)]
+
+
+@st.composite
+def grid_oracle_problems(draw):
+    """(train, test, b) on a coarse integer grid, where squared distances are
+    exact and ties common, with a block width b below the feature count."""
+    length = draw(st.integers(1, 8))
+    n_train, n_test = draw(st.integers(5, 7)), draw(st.integers(1, 3))
+    n_classes = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=length, max_size=length),
+                         min_size=n_train + n_test, max_size=n_train + n_test))
+    labels = draw(st.lists(st.integers(0, n_classes - 1),
+                           min_size=n_train + n_test, max_size=n_train + n_test))
+    classes = tuple(f"c{c}" for c in range(n_classes))
+    rows = np.array(rows, dtype=float)
+    return (Dataset(rows[:n_train], labels[:n_train], classes),
+            Dataset(rows[n_train:], labels[n_train:], classes),
+            draw(st.integers(0, length - 1)))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(grid_oracle_problems())
+def test_exhaustive_best_matches_the_oracle_on_integer_grids(problem):
+    train, test, b = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ga, "D2_BUDGET", block_budget(train, test, b))
+        for k in range(1, 6):
+            cfg = quiet_config(alpha=0.5, beta=0.3, k=k)
+            mask, fit, hits, nf, scored = exhaustive_best(train, test, cfg)
+            want = exhaustive_oracle(
+                train.features.tolist(), train.labels.tolist(),
+                test.features.tolist(), test.labels.tolist(),
+                train.feature_count, cfg.alpha, cfg.beta, k, len(train.classes))
+            assert (tuple(int(bit) for bit in mask.bits), fit, hits, nf) == want
+            assert scored == (1 << train.feature_count) - 1
+
+
+def all_subsets(length):
+    return [FeatureMask((m >> np.arange(length)) & 1) for m in range(1, 1 << length)]
+
+
+def test_every_subset_scores_as_score_does_on_a_noisy_problem(monkeypatch):
+    # weak separation on 2 of 12 features: many subsets score alike, so a
+    # wrong sum or a misplaced row changes hits somewhere
+    train, test = generate(SynthSpec(n_classes=5, n_features=12, informative=(2, 7),
+                                     class_separation=1.5, seed=4242))
+    masks = all_subsets(12)
+    log = scored_by_fitness(monkeypatch)
+    for k in (1, 2, 3, 5):
+        cfg = quiet_config(alpha=0.5, beta=0.5, k=k)
+        log.clear()  # _score below calls the wrapped fitness too
+        *_, scored = exhaustive_best(train, test, cfg)
+        got = dict(log)
+        assert scored == len(got) == 4095
+        assert got == dict(ga._score(masks, train, test, cfg))
+
+
+def test_overflowing_distances_pick_the_same_best_mask_as_score():
+    # differences of +-1e200 square to +inf, which orders last in the vote
+    rng = np.random.default_rng(7)
+    rows = rng.normal(size=(16, 6)) * np.array([1e200, 1.0, -1e200, 1.0, 1e200, 1.0])
+    rows[:, 1] += np.repeat([0.0, 3.0], 8)
+    labels = ["a", "b"] * 4 + ["b", "a"] * 4
+    classes = ("a", "b")
+    train = Dataset(rows[:10], [classes.index(c) for c in labels[:10]], classes)
+    test = Dataset(rows[10:], [classes.index(c) for c in labels[10:]], classes)
+    cfg = quiet_config(alpha=0.5, beta=0.5, k=3)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.square(np.subtract.outer(test.features[:, 0],
+                                                    train.features[:, 0]))).any()
+    mask, fit, hits, nf, _ = exhaustive_best(train, test, cfg)
+    want = min(ga._score(all_subsets(6), train, test, cfg),
+               key=lambda s: (-s[1][0], s[1][2], s[0].bits.tobytes()))
+    assert (mask, (fit, hits, nf)) == want
+
+
+def test_exhaustive_best_on_the_oracle_bench_shape_allocates_under_1_5_mib():
+    # one block of at most D2_BUDGET bytes, its vote and one prefix per level
+    # of the walk; a stack of blocks would not fit.  With the cycle collector
+    # off, what is left after the return shows that the block was freed then,
+    # not whenever a reference cycle holding it is collected.
+    train, test = generate(SynthSpec(n_classes=6, n_features=14, informative=(1, 5, 9),
+                                     class_separation=6.0, seed=12957))
+    cfg = quiet_config(alpha=0.5, beta=0.5, k=3)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        mask, *_, scored = exhaustive_best(train, test, cfg)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert scored == 16383 and mask.to_index_string() == "1,5,9"
+    assert peak < 1.5 * (1 << 20)
+    assert left < 64 * 1024
