@@ -24,14 +24,7 @@ from .ga import (
     fitness,
     write_trace,
 )
-from .knn import (
-    REJECT,
-    FeatureMask,
-    Neighbor,
-    classify,
-    k_nearest,
-    recognition_rate,
-)
+from .knn import REJECT, FeatureMask, recognition_rate
 from .pca import ProjectionModel, fit_pca2, project_rows
 from .plot import svg_scatter, write_svg_scatter
 from .synth import SynthSpec, class_means, generate, generate_pool
@@ -46,18 +39,15 @@ __all__ = [
     "GaConfig",
     "GenerationStats",
     "Individual",
-    "Neighbor",
     "ProjectionModel",
     "SynthSpec",
     "class_means",
-    "classify",
     "evolve",
     "exhaustive_best",
     "fitness",
     "fit_pca2",
     "generate",
     "generate_pool",
-    "k_nearest",
     "load_csv",
     "normalize_minmax",
     "project_rows",

@@ -40,7 +40,7 @@ from .dataset import (
     unify_vocabulary,
     write_csv,
 )
-from .ga import EXHAUSTIVE_GUARD, GaConfig, evolve, exhaustive_best, write_trace
+from .ga import GaConfig, evolve, exhaustive_best, write_trace
 from .knn import REJECT, FeatureMask, recognition_rate
 from .pca import fit_pca2, project_rows
 from .plot import write_svg_scatter
@@ -346,6 +346,9 @@ def _expand_pairs(pair_args: list[str], mask: Optional[FeatureMask],
             if mask is None:
                 raise UsageError("--pair all needs --mask to supply the feature set")
             active = [int(i) for i in mask.active_indices()]
+            if len(active) < 2:
+                raise UsageError(f"--pair all needs at least two active features in "
+                                 f"--mask, got {mask.to_index_string()}")
             pairs += [(a, b) for n, a in enumerate(active) for b in active[n + 1:]]
             continue
         ints = _parse_int_list(value, "--pair")
@@ -415,9 +418,7 @@ def cmd_project(args) -> int:
 def cmd_oracle(args) -> int:
     train, eval_set = _load_problem(args, args.train, args.eval)
     cfg, _ = _ga_config(args)
-    mask, fitness_value, hits, nf, scored = exhaustive_best(
-        train, eval_set, cfg, max_length=args.max_features
-    )
+    mask, fitness_value, hits, nf, scored = exhaustive_best(train, eval_set, cfg)
     print("command = oracle")
     print(f"alpha = {cfg.alpha!r}")
     print(f"beta = {cfg.beta!r}")
@@ -537,8 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("train")
     p.add_argument("eval")
     _config_flags(p, GaConfig, SCORE_FLAGS)
-    p.add_argument("--max-features", type=int, default=EXHAUSTIVE_GUARD,
-                   help="refuse feature counts above this guard (default %(default)s)")
     _dataset_flags(p)
     p.set_defaults(func=cmd_oracle)
 

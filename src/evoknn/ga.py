@@ -33,6 +33,7 @@ are always drawn even when only one slot remains.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
@@ -40,7 +41,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .dataset import Dataset, atomic_write
-from .knn import FeatureMask, _d2, _vote, recognition_rate
+from .knn import FeatureMask, _d2, _term, _vote, recognition_rate
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,10 @@ class GaConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.per_bit_flip_rate is not None and not 0.0 < self.per_bit_flip_rate <= 1.0:
             raise ValueError("per_bit_flip_rate must be in (0, 1]")
+        for name in ("alpha", "beta", "stop_on_fitness"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
         if self.k < 1:
@@ -322,12 +327,6 @@ def evolve(
 EXHAUSTIVE_GUARD = 20
 
 
-def _term(train: Dataset, queries: np.ndarray, j: int) -> np.ndarray:
-    """Feature ``j``'s (queries x train) squared differences."""
-    term = np.subtract.outer(queries[:, j], train.features[:, j])
-    return np.square(term, out=term)
-
-
 def _walk(train: Dataset, queries: np.ndarray, prefix, bits: np.ndarray, start: int):
     """``(prefix, bits)`` of this node of the subset walk, then of every node
     below it, depth first.  A child adds one feature ``j >= start`` to the
@@ -343,17 +342,17 @@ def _walk(train: Dataset, queries: np.ndarray, prefix, bits: np.ndarray, start: 
 
 
 def exhaustive_best(
-    train: Dataset, eval_set: Dataset, cfg: GaConfig, max_length: int = EXHAUSTIVE_GUARD
+    train: Dataset, eval_set: Dataset, cfg: GaConfig
 ) -> tuple[FeatureMask, float, int, int, int]:
     """Evaluate every non-empty feature subset; the global fitness optimum.
 
     Returns ``(mask, fitness, hits, nf, scored)``, ``scored`` being the number
-    of subsets evaluated.  Guarded to ``feature_count <= max_length`` since
-    the subset count doubles per feature.  Ties are broken by fewer active
-    features, then by the lexicographically smaller mask string.
+    of subsets evaluated.  Guarded to ``feature_count <= EXHAUSTIVE_GUARD``
+    since the subset count doubles per feature.  Ties are broken by fewer
+    active features, then by the lexicographically smaller mask string.
 
-    Each subset's d2 is its parent prefix plus one term (Narendra & Fukunaga,
-    1977).  The top ``b`` features, as many as let ``2**b`` d2 matrices fit
+    Each subset's d2 is its parent prefix plus one ``knn._term`` (Narendra &
+    Fukunaga, 1977).  The top ``b`` features, as many as let ``2**b`` d2 matrices fit
     ``D2_BUDGET`` bytes, span one block; the low features are walked depth
     first, each node holding the ascending sum of its low set.  At each node
     the block is filled row by row, row ``r | 2**i`` being row ``r`` plus high
@@ -363,9 +362,9 @@ def exhaustive_best(
     the block and one prefix per level of the walk.
     """
     length = train.feature_count
-    if length > max_length:
+    if length > EXHAUSTIVE_GUARD:
         raise ValueError(
-            f"feature count {length} exceeds the exhaustive guard of {max_length}"
+            f"feature count {length} exceeds the exhaustive guard of {EXHAUSTIVE_GUARD}"
         )
     queries = eval_set.features
     shape = (eval_set.n_samples, train.n_samples)

@@ -2,30 +2,28 @@
 
 All operations are pure functions of immutable inputs; neighbour ordering and
 vote ties are fully specified so identical inputs always yield identical
-labels, regardless of evaluation order.  ``k_nearest``, ``classify`` and
-``recognition_rate`` are one-query and whole-test-set calls of one kernel,
-``_vote(_d2(...))``.  ``_d2`` checks the query shape and the masks, then
-fills one (queries x train) squared-distance matrix per mask in a single
-feature-outer pass: each active feature's term is computed once and added
-into every mask that uses it, so each mask receives its terms in ascending
-feature order.  Each distance is therefore the plain left-to-right sum a
-scalar loop makes, at any number of masks and whatever order a library
-routine would choose.  ``_vote`` takes d2 of shape (..., queries, train) and
-votes every row of every leading index (one per mask, say) in the same
-passes, so the GA votes each chunk of masks with one call.
-``recognition_rate(..., predicted=...)`` then only counts one mask's hits in
-its row of that vote; the GA keeps this per-mask call while the benchmark's
-hooks count and time it.  The k neighbours of a row come from k argmin
-passes, so distance ties go to the lower sample index.  That costs
-O(k * queries * train) where a sort costs O(queries * train * log train);
-the paper and its workloads use k <= 3.  A vote tie goes to the class whose
+labels, regardless of evaluation order.  ``recognition_rate`` scores one mask
+on a whole test set through one kernel, ``_vote(_d2(...))``.  ``_d2`` checks
+the query shape and the masks, then fills one (queries x train)
+squared-distance matrix per mask in a single feature-outer pass: each active
+feature's ``_term`` is computed once and added into every mask that uses it,
+so each mask receives its terms in ascending feature order.  Each distance is
+therefore the plain left-to-right sum a scalar loop makes, at any number of
+masks and whatever order a library routine would choose.  ``_vote`` takes d2
+of shape (..., queries, train) and votes every row of every leading index
+(one per mask, say) in the same passes, so the GA votes each chunk of masks
+with one call.  ``recognition_rate(..., predicted=...)`` then only counts one
+mask's hits in its row of that vote; the GA keeps this per-mask call while
+the benchmark's hooks count and time it.  The k neighbours of a row come from
+k argmin passes, so distance ties go to the lower sample index.  That costs
+O(k * queries * train) where a sort costs O(queries * train * log train); the
+paper and its workloads use k <= 3.  A vote tie goes to the class whose
 voting neighbours have the smallest summed distance, then to the smaller
 class id, or to ``REJECT`` in reject mode.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,7 +31,7 @@ import numpy as np
 
 from .dataset import Dataset
 
-REJECT = -1  # returned by classify(reject_ties=True) when no class wins the vote
+REJECT = -1  # the predicted class in reject mode when no class wins the vote
 _RETIRED = np.iinfo(np.int64).max  # key of a picked neighbour in _vote
 
 
@@ -69,10 +67,6 @@ class FeatureMask:
             bits[i] = True
         return cls(bits)
 
-    @classmethod
-    def full(cls, length: int) -> "FeatureMask":
-        return cls(np.ones(length, dtype=bool))
-
     @property
     def length(self) -> int:
         return self.bits.size
@@ -97,11 +91,12 @@ class FeatureMask:
         return hash(self.bits.tobytes())
 
 
-@dataclass(frozen=True)
-class Neighbor:
-    sample_index: int
-    distance: float
-    label: int
+def _term(train: Dataset, queries: np.ndarray, j: int, out=None) -> np.ndarray:
+    """Feature ``j``'s (queries x train) squared differences, into ``out`` if
+    given.  The one place this term is written: ``_d2`` and the GA's
+    exhaustive enumerator both add it, so their sums agree bit for bit."""
+    term = np.subtract.outer(queries[:, j], train.features[:, j], out=out)
+    return np.square(term, out=term)
 
 
 def _d2(train: Dataset, queries, masks: Sequence[FeatureMask], out=None) -> np.ndarray:
@@ -131,8 +126,7 @@ def _d2(train: Dataset, queries, masks: Sequence[FeatureMask], out=None) -> np.n
     with np.errstate(over="ignore"):
         for j, m in zip(features.tolist(), owners.tolist()):
             if j != last:
-                np.subtract.outer(queries[:, j], train.features[:, j], out=term)
-                np.square(term, out=term)
+                _term(train, queries, j, out=term)
                 last = j
             d2[m] += term
     return d2
@@ -191,26 +185,6 @@ def _knn(
     return _vote(_d2(train, queries, [mask])[0], train.labels, len(train.classes), k, reject_ties)
 
 
-def k_nearest(train: Dataset, x, k: int, mask: FeatureMask) -> list[Neighbor]:
-    """The k closest training samples, ties broken by ascending sample index."""
-    order, d2, _ = _knn(train, [x], k, mask)
-    return [
-        Neighbor(int(i), math.sqrt(float(d)), int(train.labels[i]))
-        for i, d in zip(order[0], d2[0])
-    ]
-
-
-def classify(
-    train: Dataset, x, k: int, mask: FeatureMask, reject_ties: bool = False
-) -> int:
-    """Plurality vote among the k nearest prototypes; k=1 is minimum-distance.
-
-    With ``reject_ties=True`` an unresolved vote returns ``REJECT`` instead of
-    applying the summed-distance/class-id tie rule.
-    """
-    return int(_knn(train, [x], k, mask, reject_ties)[2][0])
-
-
 def recognition_rate(
     train: Dataset,
     test: Dataset,
@@ -230,8 +204,7 @@ def recognition_rate(
     if train.classes != test.classes:
         raise ValueError("train and test class vocabularies differ")
     if predicted is None:
-        d2 = _d2(train, test.features, [mask])[0]
-        predicted = _vote(d2, train.labels, len(train.classes), k, reject_ties)[2]
+        predicted = _knn(train, test.features, k, mask, reject_ties)[2]
     elif predicted.shape != (test.n_samples,):
         raise ValueError(
             f"predicted has shape {predicted.shape}, not (test,) = {(test.n_samples,)}"

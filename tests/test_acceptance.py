@@ -15,7 +15,7 @@ import pytest
 from evoknn import cli
 from evoknn.dataset import from_rows, split_random
 from evoknn.ga import GaConfig, evolve, exhaustive_best, fitness
-from evoknn.knn import FeatureMask, classify
+from evoknn.knn import FeatureMask, _knn
 from evoknn.pca import fit_pca2
 from evoknn.synth import SynthSpec, generate, generate_pool
 
@@ -70,7 +70,7 @@ def test_ac1_classifier_matches_bruteforce_oracle():
         for _ in range(3):
             query = rng.integers(-4, 5, size=length).astype(float)
             for reject in (False, True):
-                got = classify(train, query, k, mask, reject_ties=reject)
+                got = int(_knn(train, [query], k, mask, reject)[2][0])
                 want = classify_oracle(rows.tolist(), train.labels.tolist(),
                                        query, k, active, len(train.classes),
                                        reject_ties=reject)
@@ -125,7 +125,7 @@ def test_ac3_ga_attains_exhaustive_optimum_on_small_problems():
                          train_per_class=8, test_per_class=4, seed=seed)
         train, test = generate(spec)
         cfg = quiet_config(population_size=50, max_generations=150, seed=seed)
-        _, best_fit, _, _, _ = exhaustive_best(train, test, cfg, max_length=10)
+        _, best_fit, _, _, _ = exhaustive_best(train, test, cfg)
         best, _, _ = evolve(train, test, cfg)
         exact += best.fitness == best_fit
         if best.fitness < best_fit - 0.05 * abs(best_fit):
@@ -148,7 +148,7 @@ def test_ga_attains_the_exhaustive_optimum_of_a_16_feature_problem():
                      train_per_class=8, test_per_class=4, seed=1)
     train, test = generate(spec)
     cfg = quiet_config(population_size=50, max_generations=150, seed=1)
-    mask, best_fit, _, _, scored = exhaustive_best(train, test, cfg, max_length=16)
+    mask, best_fit, _, _, scored = exhaustive_best(train, test, cfg)
     best, _, _ = evolve(train, test, cfg)
     assert scored == (1 << 16) - 1
     assert mask.to_index_string() == "2,8,13"

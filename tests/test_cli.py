@@ -289,7 +289,7 @@ def test_config_flags_store_into_the_library_fields(capsys):
     assert set(vars(select)) - plumbing - {"normalize", "holdout"} == {
         f.name for f in fields(GaConfig)}
     oracle = parse(["oracle", "t.csv", "e.csv"])
-    assert set(vars(oracle)) - plumbing - {"max_features"} == {"k", "alpha", "beta"}
+    assert set(vars(oracle)) - plumbing == {"k", "alpha", "beta"}
     synth = parse(["synth"])
     assert set(vars(synth)) - plumbing - {"class_sizes", "test_count", "stratified"} == {
         f.name for f in fields(SynthSpec)}
@@ -304,8 +304,6 @@ def test_config_flags_store_into_the_library_fields(capsys):
 
     evaluate = parse(["eval", "t.csv", "e.csv", "--mask", "1"])
     assert evaluate.k == GaConfig.k
-    assert oracle.max_features == inspect.signature(exhaustive_best).parameters[
-        "max_length"].default
     assert evaluate.label_column == inspect.signature(load_csv).parameters[
         "label_column"].default
     assert "has_header" in inspect.signature(load_csv).parameters
@@ -491,12 +489,34 @@ def test_oracle_votes_each_scored_chunk_once(data_dir, monkeypatch, capsys):
 def test_oracle_guard_exit_code(tmp_path, capsys):
     wide = tmp_path / "wide"
     assert cli.main(["synth", "--out-dir", str(wide), "--classes", "2",
-                     "--features", "20", "--informative", "0",
+                     "--features", "21", "--informative", "0",
                      "--train-per-class", "3", "--test-per-class", "2"]) == 0
-    code = cli.main(["oracle", str(wide / "train.csv"), str(wide / "test.csv"),
-                     "--alpha", "0.5", "--beta", "0.5", "--max-features", "15"])
-    assert code == 1
-    assert "guard" in capsys.readouterr().err
+    oracle = ["oracle", str(wide / "train.csv"), str(wide / "test.csv"),
+              "--alpha", "0.5", "--beta", "0.5"]
+    assert cli.main(oracle) == 1
+    assert "guard of 20" in capsys.readouterr().err
+    # the guard is a constant, not a flag
+    with pytest.raises(SystemExit) as exc:
+        cli.main(oracle + ["--max-features", "15"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha", "nan"), ("--beta", "inf"), ("--stop-on-fitness", "nan")])
+def test_non_finite_ga_weights_are_usage_errors(data_dir, tmp_path, capsys, flag, value):
+    # a NaN or infinite weight makes every fitness NaN, and a NaN target is
+    # never reached: refused before any work, so no directory is made
+    train, test = str(data_dir / "train.csv"), str(data_dir / "test.csv")
+    out = tmp_path / "run"
+    assert cli.main(["select", train, test, "--out-dir", str(out),
+                     "--pop", "8", "--generations", "2", flag, value]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+    if flag != "--stop-on-fitness":
+        assert cli.main(["oracle", train, test, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be finite" in captured.err
 
 
 # ----------------------------------------------------------- project
@@ -660,7 +680,10 @@ def test_project_pair_usage_errors(data_dir, tmp_path, capsys):
     assert cli.main(["project", train, "--pair", "0,9", "--out", out]) == 2
     assert cli.main(["project", train, "--pair", "1,4,", "--out", out]) == 2
     assert cli.main(["project", train, "--pair", "07,1", "--out", out]) == 2
+    # one active feature has no pair: the run would list no output at all
+    assert cli.main(["project", train, "--mask", "1", "--pair", "all", "--out", out]) == 2
     capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]  # nothing written
 
 
 def test_manifests_record_the_label_column_and_header_flags(data_dir, tmp_path, capsys):

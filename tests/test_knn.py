@@ -14,9 +14,8 @@ from evoknn.knn import (
     REJECT,
     FeatureMask,
     _d2,
+    _knn,
     _vote,
-    classify,
-    k_nearest,
     recognition_rate,
 )
 
@@ -33,7 +32,7 @@ def test_mask_string_round_trip():
     assert m.to_string() == "01101"
     assert m.to_index_string() == "1,2,4"
     assert FeatureMask.from_indices([1, 2, 4], 5) == m
-    assert FeatureMask.full(3).to_string() == "111"
+    assert FeatureMask(np.ones(3, bool)).to_string() == "111"
 
 
 def test_mask_equality_and_hash():
@@ -58,15 +57,27 @@ def test_mask_rejects_bad_input():
 
 # ----------------------------------------------------------- distance
 
+def nearest(train, x, k, mask):
+    """(sample index, distance) of the k training samples nearest ``x``, in
+    ``_knn``'s neighbour order, each distance the square root of its d2."""
+    order, d2, _ = _knn(train, [x], k, mask)
+    return [(i, math.sqrt(d)) for i, d in zip(order[0].tolist(), d2[0].tolist())]
+
+
+def predict(train, x, k, mask, reject_ties=False):
+    """``_knn``'s predicted class for the one query ``x``."""
+    return int(_knn(train, [x], k, mask, reject_ties)[2][0])
+
+
 def distance(x, y, mask):
-    """The masked distance from x to y, as k_nearest reports it."""
-    return k_nearest(from_rows([y], ["a"]), x, 1, mask)[0].distance
+    """The masked distance from x to y, as ``_knn`` reports it."""
+    return nearest(from_rows([y], ["a"]), x, 1, mask)[0][1]
 
 
 def test_masked_distance_uses_active_coordinates_only():
     mask = FeatureMask.from_string("101")
     assert distance([0, 99, 0], [3, -7, 4], mask) == 5.0
-    full = FeatureMask.full(3)
+    full = FeatureMask(np.ones(3, bool))
     assert distance([0, 0, 0], [1, 2, 2], full) == 3.0
 
 
@@ -84,66 +95,68 @@ def test_masked_distance_metric_axioms(rng):
 def test_masked_distance_validates_shapes():
     two = from_rows([[1.0, 2.0]], ["a"])
     with pytest.raises(ValueError, match="2 features"):
-        k_nearest(two, [1, 2, 3], 1, FeatureMask.full(2))
+        _knn(two, [[1, 2, 3]], 1, FeatureMask(np.ones(2, bool)))
     with pytest.raises(ValueError, match="2 features"):
-        recognition_rate(two, from_rows([[1.0, 2.0, 3.0]], ["a"]), 1, FeatureMask.full(2))
+        recognition_rate(two, from_rows([[1.0, 2.0, 3.0]], ["a"]), 1,
+                         FeatureMask(np.ones(2, bool)))
     with pytest.raises(ValueError, match="mask length 3"):
-        k_nearest(two, [1, 2], 1, FeatureMask.full(3))
+        _knn(two, [[1, 2]], 1, FeatureMask(np.ones(3, bool)))
     with pytest.raises(ValueError, match="no active features"):
-        k_nearest(two, [3, 4], 1, FeatureMask.from_string("00"))
+        _knn(two, [[3, 4]], 1, FeatureMask.from_string("00"))
 
 
 # ----------------------------------------------------------- neighbours
 
 def test_k_nearest_orders_by_distance_then_index(grid_dataset):
-    mask = FeatureMask.full(3)
-    neigh = k_nearest(grid_dataset, [9.0, 0.5, 2.0], 3, mask)
+    mask = FeatureMask(np.ones(3, bool))
+    neigh = nearest(grid_dataset, [9.0, 0.5, 2.0], 3, mask)
     # samples 4 and 5 are equidistant from the query; index order breaks the tie
-    assert [n.sample_index for n in neigh] == [4, 5, 3]
-    assert neigh[0].distance == neigh[1].distance == 0.5
-    assert neigh[0].label == 2
+    assert [i for i, _ in neigh] == [4, 5, 3]
+    assert neigh[0][1] == neigh[1][1] == 0.5
+    assert grid_dataset.labels[neigh[0][0]] == 2
 
 
 def test_k_nearest_validates_k(grid_dataset):
     with pytest.raises(ValueError):
-        k_nearest(grid_dataset, [0.0, 0.0, 0.0], 0, FeatureMask.full(3))
+        _knn(grid_dataset, [[0.0, 0.0, 0.0]], 0, FeatureMask(np.ones(3, bool)))
     with pytest.raises(ValueError):
-        k_nearest(grid_dataset, [0.0, 0.0, 0.0], 7, FeatureMask.full(3))
+        _knn(grid_dataset, [[0.0, 0.0, 0.0]], 7, FeatureMask(np.ones(3, bool)))
 
 
 # ----------------------------------------------------------- classification
 
 def test_classify_k1_is_minimum_distance(grid_dataset):
-    mask = FeatureMask.full(3)
-    assert classify(grid_dataset, [0.2, 0.1, 0.0], 1, mask) == 0
-    assert classify(grid_dataset, [4.4, 4.0, 0.5], 1, mask) == 1
-    assert classify(grid_dataset, [8.0, 0.0, 2.0], 1, mask) == 2
+    mask = FeatureMask(np.ones(3, bool))
+    assert predict(grid_dataset, [0.2, 0.1, 0.0], 1, mask) == 0
+    assert predict(grid_dataset, [4.4, 4.0, 0.5], 1, mask) == 1
+    assert predict(grid_dataset, [8.0, 0.0, 2.0], 1, mask) == 2
 
 
 def test_classify_masking_changes_the_answer(grid_dataset):
     # on feature 2 alone, the query value 1.0 sits on class b's prototypes
     q = [0.0, 0.0, 1.0]
-    assert classify(grid_dataset, q, 1, FeatureMask.full(3)) == 0
-    assert classify(grid_dataset, q, 1, FeatureMask.from_string("001")) == 1
+    assert predict(grid_dataset, q, 1, FeatureMask(np.ones(3, bool))) == 0
+    assert predict(grid_dataset, q, 1, FeatureMask.from_string("001")) == 1
 
 
 def test_classify_vote_tie_prefers_closer_class():
     train = from_rows([[0.0], [2.0]], ["a", "b"])
     # 1 vote each at k=2; class a's neighbour is nearer
-    assert classify(train, [0.9], 2, FeatureMask.full(1)) == 0
-    assert classify(train, [1.1], 2, FeatureMask.full(1)) == 1
+    assert predict(train, [0.9], 2, FeatureMask(np.ones(1, bool))) == 0
+    assert predict(train, [1.1], 2, FeatureMask(np.ones(1, bool))) == 1
 
 
 def test_classify_vote_tie_equal_distance_prefers_smaller_id():
     train = from_rows([[-1.0], [1.0]], ["b", "a"])  # first appearance: b -> 0
-    assert classify(train, [0.0], 2, FeatureMask.full(1)) == 0
+    assert predict(train, [0.0], 2, FeatureMask(np.ones(1, bool))) == 0
 
 
 def test_classify_reject_mode():
     train = from_rows([[0.0], [2.0]], ["a", "b"])
-    assert classify(train, [1.0], 2, FeatureMask.full(1), reject_ties=True) == REJECT
+    one = FeatureMask(np.ones(1, bool))
+    assert predict(train, [1.0], 2, one, reject_ties=True) == REJECT
     # an unambiguous vote is unaffected by reject mode
-    assert classify(train, [0.1], 1, FeatureMask.full(1), reject_ties=True) == 0
+    assert predict(train, [0.1], 1, one, reject_ties=True) == 0
 
 
 def test_scale_invariance_of_predictions(rng):
@@ -156,7 +169,7 @@ def test_scale_invariance_of_predictions(rng):
     for _ in range(25):
         q = rng.integers(-5, 6, size=4).astype(float)
         for k in (1, 3):
-            assert classify(train, q, k, mask) == classify(scaled, q * 7.0, k, mask)
+            assert predict(train, q, k, mask) == predict(scaled, q * 7.0, k, mask)
 
 
 def test_adding_masked_out_features_never_matters(rng):
@@ -164,12 +177,12 @@ def test_adding_masked_out_features_never_matters(rng):
     labels = [f"c{i % 2}" for i in range(15)]
     plain = from_rows(rows.tolist(), labels)
     noisy = from_rows(np.hstack([rows, rng.normal(size=(15, 2)) * 100]).tolist(), labels)
-    mask3 = FeatureMask.full(3)
+    mask3 = FeatureMask(np.ones(3, bool))
     mask5 = FeatureMask.from_string("11100")
     for _ in range(20):
         q = rng.normal(size=3)
         q5 = np.concatenate([q, rng.normal(size=2) * 100])
-        assert classify(plain, q, 3, mask3) == classify(noisy, q5, 3, mask5)
+        assert predict(plain, q, 3, mask3) == predict(noisy, q5, 3, mask5)
 
 
 # ----------------------------------------------------------- recognition rate
@@ -179,7 +192,8 @@ def test_recognition_rate_counts_and_pairs(grid_dataset):
         [[0.0, 0.5, 0.0], [4.5, 4.0, 0.5], [9.0, 0.5, 2.0], [4.0, 0.0, 0.0]],
         ["a", "b", "c", "c"],
     )
-    hits, rate, per_sample = recognition_rate(grid_dataset, test, 1, FeatureMask.full(3))
+    hits, rate, per_sample = recognition_rate(grid_dataset, test, 1,
+                                              FeatureMask(np.ones(3, bool)))
     assert hits == 3
     assert rate == 3 / 4
     assert per_sample == [(0, 0), (1, 1), (2, 2), (0, 2)]
@@ -188,13 +202,13 @@ def test_recognition_rate_counts_and_pairs(grid_dataset):
 def test_recognition_rate_requires_matching_vocabulary(grid_dataset):
     other = from_rows([[0.0, 0.0, 0.0]], ["different"])
     with pytest.raises(ValueError):
-        recognition_rate(grid_dataset, other, 1, FeatureMask.full(3))
+        recognition_rate(grid_dataset, other, 1, FeatureMask(np.ones(3, bool)))
 
 
 def test_recognition_rate_refuses_predictions_of_the_wrong_shape(grid_dataset):
     test = from_rows([[0.0, 0.5, 0.0], [4.5, 4.0, 0.5]], ["a", "b"])
     train, test = unify_vocabulary(grid_dataset, test)
-    mask = FeatureMask.full(3)
+    mask = FeatureMask(np.ones(3, bool))
     predicted = _vote(_d2(train, test.features, [mask]), train.labels,
                       len(train.classes), 1)[2]
     want = recognition_rate(train, test, 1, mask)
@@ -209,7 +223,8 @@ def test_rejected_samples_never_count_as_hits():
     # first query's 2 nearest split a/b (vote tie); second's are both a
     test = from_rows([[1.2], [0.1]], ["a", "a"])
     train, test = unify_vocabulary(train, test)
-    hits, rate, per_sample = recognition_rate(train, test, 2, FeatureMask.full(1),
+    hits, rate, per_sample = recognition_rate(train, test, 2,
+                                              FeatureMask(np.ones(1, bool)),
                                               reject_ties=True)
     assert per_sample[0] == (REJECT, 0)
     assert hits == 1 and rate == 0.5
@@ -218,7 +233,7 @@ def test_rejected_samples_never_count_as_hits():
 # ----------------------------------------------------------- oracle equivalence
 
 def test_classify_matches_naive_oracle_on_random_integer_instances(rng):
-    """Exact agreement of ``classify`` and ``recognition_rate`` with an
+    """Exact agreement of ``_knn`` and ``recognition_rate`` with an
     independent compute-all/sort/vote reference.
 
     Integer-valued features keep every squared distance exactly representable,
@@ -248,7 +263,7 @@ def test_classify_matches_naive_oracle_on_random_integer_instances(rng):
             q = rng.integers(-3, 4, size=length).astype(float)
             queries.append(q)
             for reject in (False, True):
-                got = classify(train, q, k, mask, reject_ties=reject)
+                got = predict(train, q, k, mask, reject_ties=reject)
                 want = classify_oracle(rows.tolist(), train.labels.tolist(), q,
                                        k, active, len(train.classes),
                                        reject_ties=reject)
@@ -312,8 +327,7 @@ def test_every_k_and_reject_mode_matches_the_oracle_on_integer_grids(problem):
                 for q, got_order, got_near in zip(test.features, order[m], near[m]):
                     want = nearest_oracle(rows, q.tolist(), k, active)
                     assert list(zip(got_order.tolist(), got_near.tolist())) == want
-                    got = k_nearest(train, q, k, mask)
-                    assert [(n.sample_index, n.distance) for n in got] == [
+                    assert nearest(train, q, k, mask) == [
                         (i, math.sqrt(d2)) for i, d2 in want]
                 _, _, per_sample = recognition_rate(train, test, k, mask,
                                                     reject_ties=reject)
@@ -338,8 +352,7 @@ def test_k_nearest_distances_are_the_sequential_sums_bit_for_bit(rng):
         mask = FeatureMask(bits)
         want = nearest_oracle(rows.tolist(), q.tolist(), n_train,
                               mask.active_indices().tolist())
-        got = k_nearest(train, q, n_train, mask)
-        assert [(n.sample_index, n.distance) for n in got] == [
+        assert nearest(train, q, n_train, mask) == [
             (i, math.sqrt(d2)) for i, d2 in want]
 
 
@@ -348,15 +361,16 @@ def test_overflowed_distances_tie_to_the_lower_index():
     # the lower sample index still comes first
     train = from_rows([[1e200], [5.0], [-1e200], [2e200], [3.0], [-3e200]],
                       ["a", "b", "b", "a", "b", "a"])
-    neigh = k_nearest(train, [0.0], 6, FeatureMask.full(1))
-    assert [n.sample_index for n in neigh] == [4, 1, 0, 2, 3, 5]
-    assert [n.distance for n in neigh] == [3.0, 5.0] + [math.inf] * 4
+    one = FeatureMask(np.ones(1, bool))
+    neigh = nearest(train, [0.0], 6, one)
+    assert [i for i, _ in neigh] == [4, 1, 0, 2, 3, 5]
+    assert [d for _, d in neigh] == [3.0, 5.0] + [math.inf] * 4
     # k=4: votes b, b, a, b
-    assert classify(train, [0.0], 4, FeatureMask.full(1)) == 1
+    assert predict(train, [0.0], 4, one) == 1
     # far query: every distance is inf, so samples 0 and 1 tie the k=2 vote
     # at summed distance inf; it goes to the smaller class id, or to REJECT
     for reject, want in ((False, 0), (True, REJECT)):
-        got = classify(train, [1e300], 2, FeatureMask.full(1), reject_ties=reject)
+        got = predict(train, [1e300], 2, one, reject_ties=reject)
         assert got == want == classify_oracle(
             train.features.tolist(), train.labels.tolist(), [1e300], 2, [0], 2,
             reject_ties=reject)
@@ -372,7 +386,7 @@ def test_full_mask_call_on_the_reference_pair_allocates_under_1_mb(tmp_path, cap
     assert train.feature_count == 117
     tracemalloc.start()
     try:
-        recognition_rate(train, test, 1, FeatureMask.full(117))
+        recognition_rate(train, test, 1, FeatureMask(np.ones(117, bool)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -438,7 +452,7 @@ def test_chunked_scores_equal_one_mask_fitness_on_the_reference_pair(reference_p
     shared = [FeatureMask(rng.random(length) < p) for p in (0.05, 0.3, 0.5, 0.7, 0.95)]
     disjoint = [FeatureMask.from_indices(range(i, length, 5), length) for i in range(5)]
     masks = shared + disjoint + [FeatureMask.from_indices([70, 101, 112], length),
-                                 FeatureMask.full(length)]
+                                 FeatureMask(np.ones(length, bool))]
     assert all(m.active_count for m in masks)
     assert np.array_equal(_d2(train, test.features, masks),
                           [_d2(train, test.features, [m])[0] for m in masks])
