@@ -96,8 +96,8 @@ def _write_manifest(pairs: list[tuple[str, object]], path) -> None:
 
 
 def _refuse_line_breaks(args, *flags: str) -> None:
-    """A manifest holds one ``key = value`` per line, so an echoed path with
-    a line break would run onto the next: refuse it before any work."""
+    """A manifest holds one ``key = value`` per line: an echoed path or label
+    column with a line break would run onto the next, so refuse it first."""
     for flag in flags:
         path = getattr(args, flag.lstrip("-").replace("-", "_"))
         if path is not None and "".join(path.splitlines()) != path:
@@ -250,7 +250,7 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- select
 
 def cmd_select(args) -> int:
-    _refuse_line_breaks(args, "train", "eval", "--holdout")
+    _refuse_line_breaks(args, "train", "eval", "--holdout", "--label-column")
     paths = [args.train, args.eval] + ([args.holdout] if args.holdout else [])
     train, eval_set, *rest = _load_problem(args, *paths, normalize=args.normalize)
     holdout = rest[0] if rest else None
@@ -362,7 +362,7 @@ def _expand_pairs(pair_args: list[str], mask: Optional[FeatureMask],
 
 
 def cmd_project(args) -> int:
-    _refuse_line_breaks(args, "dataset", "--out", "--svg")
+    _refuse_line_breaks(args, "dataset", "--out", "--svg", "--label-column")
     data = _load(args.dataset, args)
     mask = _parse_mask(args.mask, data.feature_count) if args.mask else None
     pairs = _expand_pairs(args.pair, mask, data.feature_count) if args.pair else []

@@ -102,6 +102,7 @@ def load_csv(path, label_column=DEFAULT_LABEL_COLUMN, has_header: bool = True) -
     if not raw:
         raise DatasetError(f"{path}: empty file")
 
+    width = len(raw[0][1])  # the header's, when there is one
     header: list[str] | None = None
     if has_header:
         header = [cell.strip() for cell in raw[0][1]]
@@ -111,7 +112,6 @@ def load_csv(path, label_column=DEFAULT_LABEL_COLUMN, has_header: bool = True) -
         if not raw:
             raise DatasetError(f"{path}: no data rows")
 
-    width = len(raw[0][1])
     if width < 2:
         raise DatasetError(f"{path}: need at least one feature column besides the label")
     label_idx = _resolve_label_column(label_column, header, width, path)

@@ -945,23 +945,27 @@ def test_feature_count_mismatch_is_a_data_error_before_any_work(data_dir, tmp_pa
         assert list(run.glob("*")) == [], argv
 
 
-@pytest.mark.parametrize("flag", ["train", "eval", "--holdout", "dataset"])
+@pytest.mark.parametrize("flag", ["train", "eval", "--holdout", "dataset", "--label-column"])
 def test_input_path_with_a_line_break_is_a_usage_error_before_any_work(
         data_dir, tmp_path, capsys, flag):
-    # a manifest holds one `key = value` per line, so such a path would
-    # spill its echo onto a second line that no longer parses or replays
+    # a manifest holds one `key = value` per line, so such a path, or label
+    # column, would spill its echo onto a second line that no longer parses
+    # or replays
     odd = tmp_path / "tr\nain.csv"
     odd.write_bytes((data_dir / "train.csv").read_bytes())
     paths = {"train": data_dir / "train.csv", "eval": data_dir / "test.csv",
-             "--holdout": data_dir / "test.csv", flag: odd}
+             "--holdout": data_dir / "test.csv", "dataset": data_dir / "train.csv", flag: odd}
     run, coords = tmp_path / "run", tmp_path / "viz" / "coords.csv"
-    if flag == "dataset":
-        argv = ["project", str(odd), "--out", str(coords)]
+    select = ["select", str(paths["train"]), str(paths["eval"]),
+              "--holdout", str(paths["--holdout"]), "--out-dir", str(run)] + SELECT_FLAGS
+    project = ["project", str(paths["dataset"]), "--out", str(coords)]
+    if flag == "--label-column":
+        argvs = [argv + ["--label-column", "a\nb"] for argv in (select, project)]
     else:
-        argv = ["select", str(paths["train"]), str(paths["eval"]),
-                "--holdout", str(paths["--holdout"]), "--out-dir", str(run)] + SELECT_FLAGS
-    assert cli.main(argv) == 2
-    assert f"usage error: {flag} path" in capsys.readouterr().err
+        argvs = [project if flag == "dataset" else select]
+    for argv in argvs:
+        assert cli.main(argv) == 2
+        assert f"usage error: {flag} path" in capsys.readouterr().err
     assert not run.exists() and not coords.parent.exists()
 
 

@@ -215,6 +215,17 @@ def test_load_csv_errors(tmp_path):
     with pytest.raises(DatasetError, match="row 3"):
         load_csv(ragged)
 
+    # every data row must have the header's width, not the first row's
+    wide_header = tmp_path / "wide_header.csv"
+    wide_header.write_text("f0,f1,f2,label\n1,2,a\n3,4,b\n")
+    with pytest.raises(DatasetError, match="ragged row 2 has 3 columns, expected 4"):
+        load_csv(wide_header)
+
+    narrow_header = tmp_path / "narrow_header.csv"
+    narrow_header.write_text("f0,label\n1,2,a\n3,4,b\n")
+    with pytest.raises(DatasetError, match="ragged row 2 has 3 columns, expected 2"):
+        load_csv(narrow_header)
+
     text = tmp_path / "text.csv"
     text.write_text("x,y,label\n1,huh,a\n")
     with pytest.raises(DatasetError, match="huh"):

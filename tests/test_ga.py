@@ -384,9 +384,17 @@ def test_exhaustive_guard_rejects_wide_problems():
         exhaustive_best(wider, wider, quiet_config())
 
 
+def test_exhaustive_best_refuses_a_training_set_without_features():
+    bare = Dataset(np.empty((2, 0)), [0, 1], ("a", "b"))
+    with pytest.raises(ValueError, match="at least one feature"):
+        exhaustive_best(bare, bare, quiet_config())
+
+
 def block_budget(train, test, b):
-    """A ``D2_BUDGET`` that gives ``exhaustive_best`` a block of 2**b rows."""
-    return (1 << b) * 8 * test.n_samples * train.n_samples
+    """A ``D2_BUDGET`` that gives ``exhaustive_best`` a block of 2**b rows;
+    b = -1 gives one byte less than one d2 matrix, which floors to b = 0."""
+    matrix = 8 * test.n_samples * train.n_samples
+    return (1 << b) * matrix if b >= 0 else matrix - 1
 
 
 def scored_by_fitness(monkeypatch):
@@ -403,17 +411,28 @@ def scored_by_fitness(monkeypatch):
     return log
 
 
-@pytest.mark.parametrize("b", [0, 2, 6])
+@pytest.mark.parametrize("b", [-1, 0, 2, 6])
 def test_exhaustive_best_scores_every_subset_exactly_once(monkeypatch, b):
-    # b = 0 walks every subset as a node, b = 6 fills one block of all 6
-    # features, b = 2 splits them
+    # b = 0 visits every subset as a low set, b = 6 fills one block of all 6
+    # features, b = 2 splits them; b = -1, a budget below one d2 matrix,
+    # floors to blocks of one row as b = 0 does
     train, test = tiny_problem(seed=3)
     monkeypatch.setattr(ga, "D2_BUDGET", block_budget(train, test, b))
     log = scored_by_fitness(monkeypatch)
+    rows, vote = [], ga._vote
+
+    def counted_vote(block, *args):
+        rows.append(len(block))
+        return vote(block, *args)
+
+    monkeypatch.setattr(ga, "_vote", counted_vote)
     *_, scored = exhaustive_best(train, test, quiet_config(alpha=0.5, beta=0.5))
     masks = [mask.to_string() for mask, _ in log]
-    assert scored == len(masks) == 63
+    assert scored == len(masks) == sum(rows) == 63
     assert sorted(masks) == [format(m, "06b") for m in range(1, 64)]
+    # one block per low set, the empty one without its empty-mask row
+    width = 1 << max(b, 0)
+    assert rows == [width - 1] + [width] * (64 // width - 1)
 
 
 @st.composite

@@ -404,12 +404,14 @@ def reference_pair(tmp_path_factory):
 
 
 def scored_at_widths(masks, train, test, cfg):
-    """``ga._score``'s output at chunk widths 1, 2 and more than len(masks)."""
+    """``ga._score``'s output at chunk widths 1, 2 and more than len(masks),
+    then at a budget below one d2 matrix, which floors the width at 1."""
     matrix = 8 * test.n_samples * train.n_samples
     runs = []
-    for width in (1, 2, len(masks) + 1):
+    for width, budget in [(w, w * matrix) for w in (1, 2, len(masks) + 1)] + [(1, matrix - 1)]:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ga, "D2_BUDGET", width * matrix)
+            mp.setattr(ga, "D2_BUDGET", budget)
+            assert ga._block_rows(train, test) == width
             runs.append(list(ga._score(masks, train, test, cfg)))
     return runs
 
@@ -441,7 +443,7 @@ def test_chunked_scores_equal_one_mask_fitness_on_integer_grids(problem):
     for k in range(1, train.n_samples + 1):
         cfg = GaConfig(k=k, alpha=0.5, beta=0.5)
         want = [(mask, fitness(mask, train, test, cfg)) for mask in masks]
-        assert scored_at_widths(masks, train, test, cfg) == [want] * 3
+        assert scored_at_widths(masks, train, test, cfg) == [want] * 4
 
 
 def test_chunked_scores_equal_one_mask_fitness_on_the_reference_pair(reference_pair):
@@ -459,7 +461,7 @@ def test_chunked_scores_equal_one_mask_fitness_on_the_reference_pair(reference_p
     for k in (1, 3):
         cfg = GaConfig(k=k, alpha=0.5, beta=0.5)
         want = [(mask, fitness(mask, train, test, cfg)) for mask in masks]
-        assert scored_at_widths(masks, train, test, cfg) == [want] * 3
+        assert scored_at_widths(masks, train, test, cfg) == [want] * 4
 
 
 def test_scoring_a_generation_on_the_reference_pair_allocates_under_1_5_mib(reference_pair):
