@@ -544,10 +544,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_lost_values(parser: argparse.ArgumentParser, args) -> None:
+    """Python 3.11's argparse parses a single-valued ``--flag=--`` to ``[]``,
+    or ``[[]]`` for an appended flag, where a later argparse may keep the
+    text ``--``.  Either reading is refused, so every version exits 2."""
+    subs = next(action for action in parser._actions if action.dest == "subcommand")
+    for action in subs.choices[args.subcommand]._actions:
+        value = getattr(args, action.dest, None)
+        if value == "--" or isinstance(value, list) and (
+                not value or any(not isinstance(v, str) or v == "--" for v in value)):
+            flag = "/".join(action.option_strings) or action.dest
+            raise UsageError(f"{flag} has no value: '--' is read as none")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_lost_values(parser, args)
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
         return code

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -144,7 +145,7 @@ def _resolve_label_column(label_column, header, width, path) -> int:
         idx = label_column
     elif isinstance(label_column, str) and header is not None and label_column in header:
         return header.index(label_column)
-    elif isinstance(label_column, str) and label_column.lstrip("-").isdigit():
+    elif isinstance(label_column, str) and re.fullmatch(r"-?[0-9]+", label_column):
         idx = int(label_column)
     else:
         raise DatasetError(f"{path}: label column {label_column!r} not found")

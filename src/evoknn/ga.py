@@ -9,16 +9,13 @@ order.  Individuals are ``FeatureMask`` bit strings, and fitness is a pure
 function of the mask, so each distinct mask is scored once per run.
 
 ``evolve`` scores a generation's distinct uncached masks through
-``_score``, which sums the d2 of a chunk of ``_block_rows`` masks in one
-feature-outer ``knn._d2`` pass.  ``exhaustive_best`` builds its d2 blocks
-itself, each subset's d2 being its parent prefix plus one term.  Both hand
-each (masks, queries, train) block to one tail, ``_scored``: one
-``knn._vote`` call votes the block, then ``fitness`` is called once per mask
-with that mask's row of predictions, so counting hits is all that is left
-per mask.  That per-mask call stays while the benchmark's hooks count and
-time it, until they count the blocks instead.  Either d2 equals the
-one-mask sum bit for bit, and the stacked vote applies the one-mask tie
-rules to each row.
+``_score``, and ``exhaustive_best`` scores every subset; ``knn`` builds,
+budgets and votes the d2 blocks of both (``knn.mask_predictions`` and
+``knn.subset_predictions``) and yields each mask with its row of
+predictions.  ``_scored`` is the one tail after that: ``fitness`` is called
+once per mask with its row, so counting hits is all that is left per mask.
+That per-mask call stays while the benchmark's hooks count and time it,
+until they count the masks instead.
 
 Draw order per run: population init (per mask: L uniform bit coins,
 plus one repair index if all bits came up 0), then per bred pair: parent A
@@ -41,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .dataset import Dataset, atomic_write
-from .knn import FeatureMask, _d2, _term, _vote, recognition_rate
+from .knn import FeatureMask, mask_predictions, recognition_rate, subset_predictions
 
 
 @dataclass(frozen=True)
@@ -157,43 +154,26 @@ def fitness(
     return cfg.alpha * hits - cfg.beta * nf, hits, nf
 
 
-D2_BUDGET = 1 << 20  # bytes of summed distances _score or exhaustive_best holds at once
-
-
-def _block_rows(train: Dataset, eval_set: Dataset) -> int:
-    """How many (queries x train) d2 matrices fit ``D2_BUDGET``, at least 1."""
-    return max(1, D2_BUDGET // (8 * eval_set.n_samples * train.n_samples))
-
-
-def _scored(block: np.ndarray, masks: list[FeatureMask], train: Dataset,
-            eval_set: Dataset, cfg: GaConfig) -> Iterator:
-    """``(mask, fitness(mask, ...))`` for each of ``masks``, whose d2 are the
-    rows of ``block`` in order.  One ``_vote`` votes (and spends) the block;
-    ``fitness`` then only counts each mask's hits in its row.  It yields,
-    not lists: listing a chunk's results raised the benchmark's peak RSS on
-    the reference ``select`` by about 0.3 MB."""
-    predicted = _vote(block, train.labels, len(train.classes), cfg.k)[2]
-    for mask, row in zip(masks, predicted):
+def _scored(
+    pairs: Iterable[tuple[FeatureMask, np.ndarray]], train: Dataset, eval_set: Dataset,
+    cfg: GaConfig,
+) -> Iterator[tuple[FeatureMask, tuple[float, int, int]]]:
+    """``(mask, fitness(mask, ...))`` for each ``(mask, predicted row)`` of
+    ``pairs``; ``fitness`` then only counts the mask's hits in its row.  It
+    yields, not lists: listing a chunk's results raised the benchmark's peak
+    RSS on the reference ``select`` by about 0.3 MB."""
+    for mask, row in pairs:
         yield mask, fitness(mask, train, eval_set, cfg, predicted=row)
+        # a row held here would keep its whole block's predictions alive
+        # while ``knn`` votes the next block
+        del row
 
 
 def _score(
     masks: Iterable[FeatureMask], train: Dataset, eval_set: Dataset, cfg: GaConfig
 ) -> Iterator[tuple[FeatureMask, tuple[float, int, int]]]:
-    """``(mask, fitness(mask, ...))`` for each of ``masks``, in order.  Only
-    ``evolve`` scores through it.
-
-    Each chunk of ``_block_rows`` masks is one feature-outer ``_d2`` pass
-    into a block allocated once per call, scored by ``_scored``.
-    """
-    masks = iter(masks)
-    width = _block_rows(train, eval_set)
-    block = None
-    while chunk := list(itertools.islice(masks, width)):
-        if block is None:
-            block = np.empty((len(chunk), eval_set.n_samples, train.n_samples))
-        yield from _scored(_d2(train, eval_set.features, chunk, out=block),
-                           chunk, train, eval_set, cfg)
+    """``(mask, fitness(mask, ...))`` for each of ``masks``, in order."""
+    return _scored(mask_predictions(train, eval_set, cfg.k, masks), train, eval_set, cfg)
 
 
 def _repair(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -349,17 +329,6 @@ def exhaustive_best(
     of subsets evaluated.  Guarded to ``feature_count <= EXHAUSTIVE_GUARD``
     since the subset count doubles per feature.  Ties are broken by fewer
     active features, then by the lexicographically smaller mask string.
-
-    Each subset's d2 is its parent prefix plus one ``knn._term`` (Narendra &
-    Fukunaga, 1977).  The top ``b`` features, ``2**b`` rows within
-    ``_block_rows``, span one block.  The low sets ``s`` are visited in
-    ascending order, low feature ``j`` being bit ``low - 1 - j`` of ``s``: the
-    parent ``s & (s - 1)``, which lacks the highest feature, comes first, and
-    every value between has more features, so ``prefix[level - 1]`` still
-    holds the parent's ascending sum.  Row ``r | 2**i`` of the block is row
-    ``r`` plus high feature ``i``'s term, so every row adds its features in
-    ascending order: ``knn._d2``'s sum, bit for bit.  Terms are not kept, so
-    what is held is the block and one prefix per level.
     """
     length = train.feature_count
     if length < 1:
@@ -368,35 +337,16 @@ def exhaustive_best(
         raise ValueError(
             f"feature count {length} exceeds the exhaustive guard of {EXHAUSTIVE_GUARD}"
         )
-    queries = eval_set.features
-    b = min(length, _block_rows(train, eval_set).bit_length() - 1)
-    low = length - b
-    low_shifts = np.arange(low - 1, -1, -1)
-    high_bits = (np.arange(1 << b)[:, None] >> np.arange(b) & 1).astype(bool)
-    block = np.empty((1 << b, eval_set.n_samples, train.n_samples))
-    prefix = [0.0] * (low + 1)  # prefix[level]: d2 of the last low set at that level
     best = None  # (key, mask, fitness, hits, nf); the smallest key wins
     scored = 0
-    with np.errstate(over="ignore"):
-        for s in range(1 << low):
-            level = s.bit_count()
-            if s:
-                j = low - (s & -s).bit_length()  # the highest feature of s
-                prefix[level] = prefix[level - 1] + _term(train, queries, j)
-            block[0] = prefix[level]
-            for i in range(b):
-                np.add(block[: 1 << i], _term(train, queries, low + i),
-                       out=block[1 << i : 2 << i])
-            first = 0 if s else 1  # the empty low set's row 0 is the empty mask
-            bits = (s >> low_shifts & 1).astype(bool)
-            masks = [FeatureMask(np.concatenate([bits, high])) for high in high_bits[first:]]
-            for mask, (fit, hits, nf) in _scored(block[first:], masks, train, eval_set, cfg):
-                scored += 1
-                # bool bytes order like the 0/1 text, so equal-length masks
-                # compare lexicographically
-                key = (-fit, nf, mask.bits.tobytes())
-                if best is None or key < best[0]:
-                    best = (key, mask, fit, hits, nf)
+    pairs = subset_predictions(train, eval_set, cfg.k)
+    for mask, (fit, hits, nf) in _scored(pairs, train, eval_set, cfg):
+        scored += 1
+        # bool bytes order like the 0/1 text, so equal-length masks compare
+        # lexicographically
+        key = (-fit, nf, mask.bits.tobytes())
+        if best is None or key < best[0]:
+            best = (key, mask, fit, hits, nf)
     _, mask, fit, hits, nf = best
     return mask, fit, hits, nf, scored
 

@@ -3,29 +3,46 @@
 All operations are pure functions of immutable inputs; neighbour ordering and
 vote ties are fully specified so identical inputs always yield identical
 labels, regardless of evaluation order.  ``recognition_rate`` scores one mask
-on a whole test set through one kernel, ``_vote(_d2(...))``.  ``_d2`` checks
-the query shape and the masks, then fills one (queries x train)
-squared-distance matrix per mask in a single feature-outer pass: each active
-feature's ``_term`` is computed once and added into every mask that uses it,
-so each mask receives its terms in ascending feature order.  Each distance is
-therefore the plain left-to-right sum a scalar loop makes, at any number of
-masks and whatever order a library routine would choose.  ``_vote`` takes d2
+on a whole test set through one kernel, ``_vote(_d2(...))``.
+
+This module owns the d2 block: a (masks x queries x train) array of squared
+distances, at most ``D2_BUDGET`` bytes, or one (queries x train) matrix when
+a single one exceeds it (``_block_rows``).  Two generators fill one block,
+vote it with one ``_vote`` call and yield each mask with its row of
+predicted classes:
+
+- ``mask_predictions`` scores a list of masks, ``_block_rows`` at a time, in
+  one feature-outer ``_d2`` pass each: every active feature's ``_term`` is
+  computed once and added into every mask that uses it.
+- ``subset_predictions`` scores every non-empty subset by prefix extension
+  (Narendra & Fukunaga, 1977).  The top ``b`` features, ``2**b`` rows, span
+  one block; the low sets ``s`` are visited in ascending order, low feature
+  ``j`` being bit ``low - 1 - j`` of ``s``.  The parent ``s & (s - 1)``,
+  which lacks the highest feature, comes first, and every value between has
+  more features, so ``prefix[level - 1]`` still holds the parent's sum.  Row
+  ``r | 2**i`` of the block is row ``r`` plus high feature ``i``'s term.
+  Terms are not kept, so what is held is the block and one prefix per level
+  (keeping the high ones put the oracle bench's allocation peak over 1.5 MiB).
+
+Either way each mask receives its terms in ascending feature order, so each
+distance is the plain left-to-right sum a scalar loop makes, bit for bit.
+A sum too large for a double is +inf, which orders last.  ``_vote`` takes d2
 of shape (..., queries, train) and votes every row of every leading index
-(one per mask, say) in the same passes, so the GA votes each chunk of masks
-with one call.  ``recognition_rate(..., predicted=...)`` then only counts one
-mask's hits in its row of that vote; the GA keeps this per-mask call while
-the benchmark's hooks count and time it.  The k neighbours of a row come from
-k argmin passes, so distance ties go to the lower sample index.  That costs
-O(k * queries * train) where a sort costs O(queries * train * log train); the
-paper and its workloads use k <= 3.  A vote tie goes to the class whose
-voting neighbours have the smallest summed distance, then to the smaller
-class id, or to ``REJECT`` in reject mode.
+in the same passes.  ``recognition_rate(..., predicted=...)`` then only
+counts one mask's hits in its row of that vote; the GA keeps this per-mask
+call while the benchmark's hooks count and time it.  The k neighbours of a
+row come from k argmin passes, so distance ties go to the lower sample
+index.  That costs O(k * queries * train) where a sort costs
+O(queries * train * log train); the paper and its workloads use k <= 3.  A
+vote tie goes to the class whose voting neighbours have the smallest summed
+distance, then to the smaller class id, or to ``REJECT`` in reject mode.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +50,7 @@ from .dataset import Dataset
 
 REJECT = -1  # the predicted class in reject mode when no class wins the vote
 _RETIRED = np.iinfo(np.int64).max  # key of a picked neighbour in _vote
+D2_BUDGET = 1 << 20  # bytes of one d2 block: the summed distances held at once
 
 
 @dataclass(frozen=True)
@@ -93,22 +111,27 @@ class FeatureMask:
 
 def _term(train: Dataset, queries: np.ndarray, j: int, out=None) -> np.ndarray:
     """Feature ``j``'s (queries x train) squared differences, into ``out`` if
-    given.  The one place this term is written: ``_d2`` and the GA's
-    exhaustive enumerator both add it, so their sums agree bit for bit."""
+    given.  The one place this term is written: both ways of filling a d2
+    block add it, so their sums agree bit for bit."""
     term = np.subtract.outer(queries[:, j], train.features[:, j], out=out)
     return np.square(term, out=term)
+
+
+def _queries(train: Dataset, queries) -> np.ndarray:
+    """``queries`` as a (queries x features) float array of the training set's
+    width; any other shape is refused."""
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != train.feature_count:
+        raise ValueError(f"queries must have the training set's {train.feature_count} features")
+    return queries
 
 
 def _d2(train: Dataset, queries, masks: Sequence[FeatureMask], out=None) -> np.ndarray:
     """(masks x queries x train) squared distances in one feature-outer pass.
 
-    Each active feature's term is computed once and added into every mask
-    that uses it, in ascending feature order.  ``out``, if given, holds at
-    least ``len(masks)`` such matrices and is overwritten.  A sum too large
-    for a double is +inf, which orders last."""
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != train.feature_count:
-        raise ValueError(f"queries must have the training set's {train.feature_count} features")
+    ``out``, if given, holds at least ``len(masks)`` such matrices and is
+    overwritten."""
+    queries = _queries(train, queries)
     for mask in masks:
         if mask.length != train.feature_count:
             raise ValueError(
@@ -183,6 +206,57 @@ def _knn(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One mask's (neighbour indices, their d2, predicted class) per query row."""
     return _vote(_d2(train, queries, [mask])[0], train.labels, len(train.classes), k, reject_ties)
+
+
+def _block_rows(train: Dataset, test: Dataset) -> int:
+    """How many (queries x train) d2 matrices fit ``D2_BUDGET``, at least 1."""
+    return max(1, D2_BUDGET // (8 * test.n_samples * train.n_samples))
+
+
+def mask_predictions(
+    train: Dataset, test: Dataset, k: int, masks: Iterable[FeatureMask]
+) -> Iterator[tuple[FeatureMask, np.ndarray]]:
+    """``(mask, predicted class per test sample)`` for each of ``masks``, in
+    order.  Each chunk of ``_block_rows`` masks is one ``_d2`` pass into a
+    block allocated once per call, then one ``_vote``."""
+    masks = iter(masks)
+    width = _block_rows(train, test)
+    block = None
+    while chunk := list(itertools.islice(masks, width)):
+        if block is None:
+            block = np.empty((len(chunk), test.n_samples, train.n_samples))
+        d2 = _d2(train, test.features, chunk, out=block)
+        yield from zip(chunk, _vote(d2, train.labels, len(train.classes), k)[2])
+
+
+def subset_predictions(
+    train: Dataset, test: Dataset, k: int
+) -> Iterator[tuple[FeatureMask, np.ndarray]]:
+    """``(mask, predicted class per test sample)`` for every non-empty subset
+    of the training set's features, by prefix extension one block of
+    ``2**b`` rows at a time (see the module docstring)."""
+    queries = _queries(train, test.features)
+    length = train.feature_count
+    b = min(length, _block_rows(train, test).bit_length() - 1)
+    low = length - b
+    low_shifts = np.arange(low - 1, -1, -1)
+    high_bits = (np.arange(1 << b)[:, None] >> np.arange(b) & 1).astype(bool)
+    block = np.empty((1 << b, test.n_samples, train.n_samples))
+    prefix = [0.0] * (low + 1)  # prefix[level]: d2 of the last low set at that level
+    for s in range(1 << low):
+        level = s.bit_count()
+        with np.errstate(over="ignore"):
+            if s:
+                j = low - (s & -s).bit_length()  # the highest feature of s
+                prefix[level] = prefix[level - 1] + _term(train, queries, j)
+            block[0] = prefix[level]
+            for i in range(b):
+                np.add(block[: 1 << i], _term(train, queries, low + i),
+                       out=block[1 << i : 2 << i])
+        first = 0 if s else 1  # the empty low set's row 0 is the empty mask
+        bits = (s >> low_shifts & 1).astype(bool)
+        masks = [FeatureMask(np.concatenate([bits, high])) for high in high_bits[first:]]
+        yield from zip(masks, _vote(block[first:], train.labels, len(train.classes), k)[2])
 
 
 def recognition_rate(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from evoknn import cli, ga
+from evoknn import cli, ga, knn
 from evoknn.dataset import (atomic_write, from_rows, load_csv, split_random,
                             unify_vocabulary, write_csv)
 from evoknn.ga import GaConfig, exhaustive_best
@@ -178,10 +178,10 @@ def _synth_and_select(base, synth_flags, select_flags):
 
 
 def _record_chunks(mp):
-    """Patch ``ga._d2`` and ``ga._vote`` to log, in call order, each d2
+    """Patch ``knn._d2`` and ``knn._vote`` to log, in call order, each d2
     pass's mask count and each vote's d2 shape: a list of (name, size)."""
     seen = []
-    d2, vote = ga._d2, ga._vote
+    d2, vote = knn._d2, knn._vote
 
     def logged_d2(train, queries, masks, *args, **kwargs):
         seen.append(("_d2", len(masks)))
@@ -191,8 +191,8 @@ def _record_chunks(mp):
         seen.append(("_vote", block.shape))
         return vote(block, *args, **kwargs)
 
-    mp.setattr(ga, "_d2", logged_d2)
-    mp.setattr(ga, "_vote", logged_vote)
+    mp.setattr(knn, "_d2", logged_d2)
+    mp.setattr(knn, "_vote", logged_vote)
     return seen
 
 
@@ -208,8 +208,8 @@ def _assert_one_vote_per_chunk(seen, n_masks, queries, train):
 def reference_run(tmp_path_factory):
     """The last (reference) run of GOLDEN_SELECT_RUNS, made once per module
     with every ``ga.fitness`` and ``ga.recognition_rate`` call counted by
-    name and number of positional arguments, and every ``ga._d2`` and
-    ``ga._vote`` call logged: (out dir, counts, chunk log)."""
+    name and number of positional arguments, and every ``knn._d2`` and
+    ``knn._vote`` call logged: (out dir, counts, chunk log)."""
     calls = collections.Counter()
 
     def counted(name, func):
@@ -483,7 +483,7 @@ def test_oracle_votes_each_scored_chunk_once(data_dir, monkeypatch, capsys):
     assert {name for name, _ in seen} == {"_vote"}
     assert sum(shape[0] for _, shape in seen) == 63
     assert all(shape[1:] == (12, 24) for _, shape in seen)
-    assert all(8 * np.prod(shape) <= ga.D2_BUDGET for _, shape in seen)
+    assert all(8 * np.prod(shape) <= knn.D2_BUDGET for _, shape in seen)
 
 
 def test_oracle_guard_exit_code(tmp_path, capsys):
@@ -986,6 +986,38 @@ def test_output_path_with_a_line_break_is_a_usage_error_before_any_write(
     assert cli.main(argv) == 2
     assert f"usage error: {flag} path" in capsys.readouterr().err
     assert not (tmp_path / "nl").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out-dir=--"],
+    ["select", "{train}", "{test}", "--out-dir", "{run}", "--seed=--"],
+    ["eval", "{train}", "{test}", "--mask=--"],
+    ["eval", "{train}", "{test}", "--mask", "1", "--k=--"],
+    ["project", "{train}", "--out", "{run}/coords.csv", "--pair=--"],
+    ["oracle", "{train}", "{test}", "--alpha=--"],
+])
+def test_a_flag_given_equals_dashes_is_a_usage_error_before_any_write(
+        data_dir, tmp_path, monkeypatch, capsys, argv):
+    # argparse 3.11 parses a single-valued `--flag=--` to [] ([[]] for the
+    # appended --pair): synth, eval, project and oracle crashed on it, and
+    # select wrote `seed = `, which does not replay.  A later argparse keeps
+    # the text `--`, and refuses it itself where the flag takes a number.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    run = tmp_path / "run"
+    argv = [arg.format(train=data_dir / "train.csv", test=data_dir / "test.csv", run=run)
+            for arg in argv]
+    flag = next(arg for arg in argv if arg.endswith("=--"))[: -len("=--")]
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert flag in err and "Traceback" not in err
+    assert out == "" and list(work.iterdir()) == [] and not run.exists()
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -235,6 +235,14 @@ def test_load_csv_errors(tmp_path):
     missing.write_text("x,y,label\n1,2,a\n")
     with pytest.raises(DatasetError, match="not found"):
         load_csv(missing, label_column="nope")
+    # an index is ASCII -?[0-9]+: no doubled sign, superscript or other script
+    for odd in ("--1", "\u00b2"):
+        with pytest.raises(DatasetError, match=f"missing.csv: label column {odd!r} not found"):
+            load_csv(missing, label_column=odd)
+    headerless = tmp_path / "headerless.csv"
+    headerless.write_text("1,2,a\n3,4,b\n")
+    with pytest.raises(DatasetError, match="not found"):
+        load_csv(headerless, label_column="\u0662", has_header=False)  # Arabic-Indic two
 
     narrow = tmp_path / "narrow.csv"
     narrow.write_text("label\na\nb\n")

@@ -1,6 +1,7 @@
 """Genetic-loop mechanics: operators, determinism, caching, exhaustive search."""
 
 import gc
+import hashlib
 import tracemalloc
 import warnings
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evoknn import ga
+from evoknn import ga, knn
 from evoknn.dataset import Dataset, from_rows
 from evoknn.ga import (
     GaConfig,
@@ -390,6 +391,17 @@ def test_exhaustive_best_refuses_a_training_set_without_features():
         exhaustive_best(bare, bare, quiet_config())
 
 
+@pytest.mark.parametrize("width", [5, 2])
+def test_an_eval_set_of_another_width_is_refused_by_both_searches(width):
+    # the oracle once scored a wider eval set on its first 3 columns and
+    # raised an IndexError on a narrower one
+    train = from_rows([[0, 0, 0], [1, 1, 1], [4, 4, 4], [5, 5, 5]], ["a", "a", "b", "b"])
+    test = from_rows([[0] * width, [5] * width], ["a", "b"])
+    for search in (evolve, exhaustive_best):
+        with pytest.raises(ValueError, match="training set's 3 features"):
+            search(train, test, quiet_config(population_size=4, max_generations=1))
+
+
 def block_budget(train, test, b):
     """A ``D2_BUDGET`` that gives ``exhaustive_best`` a block of 2**b rows;
     b = -1 gives one byte less than one d2 matrix, which floors to b = 0."""
@@ -417,15 +429,15 @@ def test_exhaustive_best_scores_every_subset_exactly_once(monkeypatch, b):
     # features, b = 2 splits them; b = -1, a budget below one d2 matrix,
     # floors to blocks of one row as b = 0 does
     train, test = tiny_problem(seed=3)
-    monkeypatch.setattr(ga, "D2_BUDGET", block_budget(train, test, b))
+    monkeypatch.setattr(knn, "D2_BUDGET", block_budget(train, test, b))
     log = scored_by_fitness(monkeypatch)
-    rows, vote = [], ga._vote
+    rows, vote = [], knn._vote
 
     def counted_vote(block, *args):
         rows.append(len(block))
         return vote(block, *args)
 
-    monkeypatch.setattr(ga, "_vote", counted_vote)
+    monkeypatch.setattr(knn, "_vote", counted_vote)
     *_, scored = exhaustive_best(train, test, quiet_config(alpha=0.5, beta=0.5))
     masks = [mask.to_string() for mask, _ in log]
     assert scored == len(masks) == sum(rows) == 63
@@ -458,7 +470,7 @@ def grid_oracle_problems(draw):
 def test_exhaustive_best_matches_the_oracle_on_integer_grids(problem):
     train, test, b = problem
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ga, "D2_BUDGET", block_budget(train, test, b))
+        mp.setattr(knn, "D2_BUDGET", block_budget(train, test, b))
         for k in range(1, 6):
             cfg = quiet_config(alpha=0.5, beta=0.3, k=k)
             mask, fit, hits, nf, scored = exhaustive_best(train, test, cfg)
@@ -474,6 +486,15 @@ def all_subsets(length):
     return [FeatureMask((m >> np.arange(length)) & 1) for m in range(1, 1 << length)]
 
 
+# k: (sha256 of the sorted lines "mask,fitness!r,hits,nf\n" of every subset,
+# best mask), recorded before the d2 blocks moved into knn; the noise beats the
+# planted features 2 and 7 there
+NOISY_SUBSETS = {
+    1: ("9aaa9d4ba98654131d3ac994c898bb0810e7f21458fad9667c1360b5e84b0701", "101010010001"),
+    3: ("01b9859fe441f84a27fdd94ccf7d7b03f7464d364b8c9e07893a0c5b993377cf", "100011010010"),
+}
+
+
 def test_every_subset_scores_as_score_does_on_a_noisy_problem(monkeypatch):
     # weak separation on 2 of 12 features: many subsets score alike, so a
     # wrong sum or a misplaced row changes hits somewhere
@@ -484,10 +505,15 @@ def test_every_subset_scores_as_score_does_on_a_noisy_problem(monkeypatch):
     for k in (1, 2, 3, 5):
         cfg = quiet_config(alpha=0.5, beta=0.5, k=k)
         log.clear()  # _score below calls the wrapped fitness too
-        *_, scored = exhaustive_best(train, test, cfg)
+        best, *_, scored = exhaustive_best(train, test, cfg)
         got = dict(log)
         assert scored == len(got) == 4095
         assert got == dict(ga._score(masks, train, test, cfg))
+        if k in NOISY_SUBSETS:
+            lines = sorted(f"{mask.to_string()},{fit!r},{hits},{nf}\n"
+                           for mask, (fit, hits, nf) in got.items())
+            digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+            assert (digest, best.to_string()) == NOISY_SUBSETS[k]
 
 
 def test_overflowing_distances_pick_the_same_best_mask_as_score():

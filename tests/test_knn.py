@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evoknn import cli, ga
+from evoknn import cli, ga, knn
 from evoknn.dataset import Dataset, from_rows, load_csv, unify_vocabulary
 from evoknn.ga import GaConfig, fitness
 from evoknn.knn import (
@@ -410,8 +410,8 @@ def scored_at_widths(masks, train, test, cfg):
     runs = []
     for width, budget in [(w, w * matrix) for w in (1, 2, len(masks) + 1)] + [(1, matrix - 1)]:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ga, "D2_BUDGET", budget)
-            assert ga._block_rows(train, test) == width
+            mp.setattr(knn, "D2_BUDGET", budget)
+            assert knn._block_rows(train, test) == width
             runs.append(list(ga._score(masks, train, test, cfg)))
     return runs
 
