@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
 import os
 import re
@@ -165,9 +166,17 @@ def _parse_mask(value: str, feature_count: int) -> FeatureMask:
     """Mask text, or a file whose first non-comment line is mask text.
 
     A value that is valid mask text and also names a file has two readings,
-    so it is a usage error; ``./70`` names the file ``70``."""
+    so it is a usage error; ``./70`` names the file ``70``.  A value too long
+    to be a file name, such as a bit string on a few hundred features, is
+    mask text."""
     path = Path(value)
-    if not path.is_file():
+    try:
+        names_a_file = path.is_file()
+    except OSError as exc:
+        if exc.errno != errno.ENAMETOOLONG:
+            raise
+        names_a_file = False
+    if not names_a_file:
         return _parse_mask_text(value, value, feature_count)
     try:
         mask = _parse_mask_text(value, value, feature_count)

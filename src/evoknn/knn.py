@@ -23,6 +23,9 @@ predicted classes:
   ``r | 2**i`` of the block is row ``r`` plus high feature ``i``'s term.
   Terms are not kept, so what is held is the block and one prefix per level
   (keeping the high ones put the oracle bench's allocation peak over 1.5 MiB).
+  A block's masks are the rows of one fresh (``2**b`` x features) bit
+  matrix, the low set's bits broadcast beside the fixed high bits; each
+  ``FeatureMask`` holds a view of its row.
 
 Either way each mask receives its terms in ascending feature order, so each
 distance is the plain left-to-right sum a scalar loop makes, bit for bit.
@@ -32,10 +35,14 @@ in the same passes.  ``recognition_rate(..., predicted=...)`` then only
 counts one mask's hits in its row of that vote; the GA keeps this per-mask
 call while the benchmark's hooks count and time it.  The k neighbours of a
 row come from k argmin passes, so distance ties go to the lower sample
-index.  That costs O(k * queries * train) where a sort costs
-O(queries * train * log train); the paper and its workloads use k <= 3.  A
-vote tie goes to the class whose voting neighbours have the smallest summed
-distance, then to the smaller class id, or to ``REJECT`` in reject mode.
+index; each pick is read and retired through its flat index.  That costs
+O(k * queries * train) where a sort costs O(queries * train * log train);
+the paper and its workloads use k <= 3.  The votes are counted class-major:
+one bincount over (class, row) cells makes (classes x rows) counts and
+summed distances, so each per-row step runs along the short class axis over
+contiguous rows.  A vote tie goes to the class whose voting neighbours have
+the smallest summed distance, added in neighbour order, then to the smaller
+class id, or to ``REJECT`` in reject mode.
 """
 
 from __future__ import annotations
@@ -91,7 +98,7 @@ class FeatureMask:
 
     @property
     def active_count(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
     def active_indices(self) -> np.ndarray:
         return np.flatnonzero(self.bits)
@@ -168,37 +175,42 @@ def _vote(
     if not 1 <= k <= n_train:
         raise ValueError(f"k must be in 1..{n_train}, got {k}")
     lead = d2.shape[:-1]
-    d2 = d2.reshape(-1, n_train)
+    d2 = d2.reshape(-1)
 
     # k argmin passes over the bit patterns, which order non-negative doubles
     # (+inf included) as their values do; argmin returns the first index of a
-    # tie, so equal distances go to the lower sample index.  A pick is retired
-    # with the largest int64, which lies above +inf's pattern.
-    n_rows = d2.shape[0]
-    rows = np.arange(n_rows)
+    # tie, so equal distances go to the lower sample index.  A pick is read
+    # and retired through its flat index, with the largest int64, which lies
+    # above +inf's pattern.
     keys = d2.view(np.int64)
-    order = np.empty((n_rows, k), dtype=np.intp)
-    near = np.empty((n_rows, k))
+    rows = keys.reshape(-1, n_train)
+    n_rows = rows.shape[0]
+    starts = np.arange(0, d2.size, n_train)
+    order = np.empty((k, n_rows), dtype=np.intp)
+    near = np.empty((k, n_rows))
     for i in range(k):
-        order[:, i] = pick = keys.argmin(axis=1)
-        near[:, i] = d2[rows, pick]
-        keys[rows, pick] = _RETIRED
+        order[i] = pick = rows.argmin(axis=1)
+        pick = pick + starts
+        near[i] = d2[pick]
+        keys[pick] = _RETIRED
 
-    # one bincount over (row, class) cells counts every row's votes at once
-    cells = (rows[:, None] * n_classes + labels[order]).ravel()
-    counts = np.bincount(cells, minlength=n_rows * n_classes)
-    counts = counts.reshape(n_rows, n_classes)
-    tied = counts == counts.max(axis=1, keepdims=True)
+    # one bincount over class-major (class, row) cells counts every row's
+    # votes at once; each per-row step below then runs along the short class
+    # axis 0, across contiguous rows
+    cells = (labels[order] * n_rows + np.arange(n_rows)).ravel()
+    counts = np.bincount(cells, minlength=n_classes * n_rows).reshape(n_classes, n_rows)
+    tied = counts == counts.max(axis=0)
+    del counts  # freed before sums is allocated, which lowers the peak
     if reject_ties:
-        predicted = np.where(tied.sum(axis=1) == 1, tied.argmax(axis=1), REJECT)
+        predicted = np.where(np.count_nonzero(tied, axis=0) == 1, tied.argmax(axis=0), REJECT)
     else:
         # tie rule: smallest summed distance of the class's voting neighbours,
-        # added in neighbour order, then smallest class id
-        sums = np.bincount(cells, weights=np.sqrt(near).ravel(), minlength=counts.size)
-        sums = sums.reshape(counts.shape)
-        closest = np.where(tied, sums, np.inf).min(axis=1, keepdims=True)
-        predicted = (tied & (sums == closest)).argmax(axis=1)
-    return order.reshape(*lead, k), near.reshape(*lead, k), predicted.reshape(lead)
+        # then smallest class id; bincount adds each cell's weights in input
+        # order, which is neighbour order
+        sums = np.bincount(cells, weights=np.sqrt(near).ravel(), minlength=tied.size)
+        sums = np.where(tied, sums.reshape(tied.shape), np.inf)
+        predicted = (tied & (sums == sums.min(axis=0))).argmax(axis=0)
+    return order.T.reshape(*lead, k), near.T.reshape(*lead, k), predicted.reshape(lead)
 
 
 def _knn(
@@ -254,8 +266,11 @@ def subset_predictions(
                 np.add(block[: 1 << i], _term(train, queries, low + i),
                        out=block[1 << i : 2 << i])
         first = 0 if s else 1  # the empty low set's row 0 is the empty mask
-        bits = (s >> low_shifts & 1).astype(bool)
-        masks = [FeatureMask(np.concatenate([bits, high])) for high in high_bits[first:]]
+        # fresh each block: every mask's bits are a view of its row
+        bits = np.empty((1 << b, length), dtype=bool)
+        bits[:, :low] = s >> low_shifts & 1
+        bits[:, low:] = high_bits
+        masks = [FeatureMask(row) for row in bits[first:]]
         yield from zip(masks, _vote(block[first:], train.labels, len(train.classes), k)[2])
 
 

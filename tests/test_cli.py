@@ -427,6 +427,26 @@ def test_eval_mask_forms_are_equivalent(data_dir, tmp_path, capsys):
     assert by_file == by_string == by_bom_file
 
 
+def test_a_mask_too_long_to_name_a_file_is_read_as_mask_text(tmp_path, capsys):
+    # 300 characters exceed a file name's 255 bytes: asking whether the value
+    # names a file raised ENAMETOOLONG, and eval and project exited 1
+    data = tmp_path / "wide"
+    assert cli.main(["synth", "--out-dir", str(data), "--classes", "2",
+                     "--features", "300", "--informative", "7,250", "--seed", "3",
+                     "--train-per-class", "4", "--test-per-class", "2"]) == 0
+    capsys.readouterr()
+    train, test = str(data / "train.csv"), str(data / "test.csv")
+    bits = FeatureMask.from_indices([7, 250], 300).to_string()
+    assert cli.main(["eval", train, test, "--mask", bits]) == 0
+    by_string = capsys.readouterr().out
+    assert cli.main(["eval", train, test, "--mask", "7,250"]) == 0
+    assert capsys.readouterr().out == by_string
+    coords = tmp_path / "coords.csv"
+    assert cli.main(["project", train, "--mask", bits, "--out", str(coords)]) == 0
+    capsys.readouterr()
+    assert read_manifest(coords.with_suffix(".manifest.txt"))["mask"] == bits
+
+
 def test_eval_reject_ties_flag(data_dir, capsys):
     code = cli.main(["eval", str(data_dir / "train.csv"), str(data_dir / "test.csv"),
                      "--mask", "1,4", "--k", "2", "--reject-ties"])

@@ -338,6 +338,37 @@ def test_every_k_and_reject_mode_matches_the_oracle_on_integer_grids(problem):
                 assert predicted[m].tolist() == want
 
 
+@pytest.mark.parametrize("lead", [(2, 1, 3), (1, 2, 2), (2, 0, 3), (0, 1, 1)])
+def test_vote_matches_the_oracle_on_random_integer_stacks(rng, lead):
+    """``_vote`` on stacks ``grid_problems`` does not make: up to 6 classes,
+    some of them with no training sample, three leading axes, one of length 0
+    in two cases, and +inf distances.  Each row's d2 is a one-feature
+    training set's distances to a query at 0, so the oracles see the same
+    values."""
+    for _ in range(100):
+        n_train = int(rng.integers(1, 9))
+        n_classes = int(rng.integers(1, 7))
+        present = rng.choice(n_classes, size=int(rng.integers(1, n_classes + 1)),
+                             replace=False)
+        labels = rng.choice(present, size=n_train)
+        values = rng.integers(-3, 4, size=lead + (int(rng.integers(1, 4)), n_train))
+        values = np.where(rng.random(values.shape) < 0.2, 1e200, values)
+        with np.errstate(over="ignore"):
+            d2 = np.square(values)  # 1e200 squares to +inf
+        for k in range(1, n_train + 1):
+            for reject in (False, True):
+                order, near, predicted = _vote(d2.copy(), labels, n_classes, k, reject)
+                assert order.shape == near.shape == d2.shape[:-1] + (k,)
+                assert predicted.shape == d2.shape[:-1]
+                for row in np.ndindex(d2.shape[:-1]):
+                    train_rows = [[v] for v in values[row].tolist()]
+                    want = nearest_oracle(train_rows, [0.0], k, [0])
+                    assert list(zip(order[row].tolist(), near[row].tolist())) == want
+                    assert predicted[row] == classify_oracle(
+                        train_rows, labels.tolist(), [0.0], k, [0], n_classes,
+                        reject_ties=reject)
+
+
 def test_k_nearest_distances_are_the_sequential_sums_bit_for_bit(rng):
     # magnitudes spread over six decades make the rounding of every addition
     # depend on the order the terms are added in
