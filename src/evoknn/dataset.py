@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 DEFAULT_LABEL_COLUMN = "label"
+_CONTROL = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")  # control characters but tab
 
 
 class DatasetError(ValueError):
@@ -28,9 +29,9 @@ class Dataset:
 
     ``features`` is (n_samples, feature_count) float64, ``labels`` is
     (n_samples,) int, and ``classes`` is a tuple of unique, non-empty class
-    names without leading or trailing whitespace: label ``c`` names
-    ``classes[c]``.  All arrays are write-protected after construction so the
-    dataset can be shared freely across readers.
+    names without leading or trailing whitespace or any control character
+    but tab: label ``c`` names ``classes[c]``.  All arrays are write-protected
+    after construction so the dataset can be shared freely across readers.
     """
 
     features: np.ndarray
@@ -54,6 +55,10 @@ class Dataset:
         # load_csv strips names, so "a" and "a " would merge on reload
         if any(n != n.strip() for n in classes):
             raise DatasetError("class names must not start or end with whitespace")
+        # a line break splits eval's one line per sample, and XML refuses most
+        # other controls in an SVG; tab is allowed
+        if any(_CONTROL.search(n) for n in classes):
+            raise DatasetError("class names must not hold control characters other than tab")
         if labs.size and (labs.min() < 0 or labs.max() >= len(classes)):
             raise DatasetError("sample label outside the class vocabulary")
         feats.setflags(write=False)
@@ -93,9 +98,10 @@ def load_csv(path, label_column=DEFAULT_LABEL_COLUMN, has_header: bool = True) -
 
     ``label_column`` selects the label column by header name or 0-based
     index (an int, or a digit string when there is no header).  Remaining
-    columns become features in file order.  Blank lines are ignored; a
-    ragged or non-numeric row is reported with its 1-based row number.  A
-    leading UTF-8 byte-order mark is skipped.
+    columns become features in file order; each feature cell is an ASCII
+    number without ``_``.  Blank lines are ignored; a ragged or non-numeric
+    row is reported with its 1-based row number.  A leading UTF-8 byte-order
+    mark is skipped.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -125,10 +131,14 @@ def load_csv(path, label_column=DEFAULT_LABEL_COLUMN, has_header: bool = True) -
                 f"{path}: ragged row {lineno} has {len(row)} columns, expected {width}"
             )
         names.append(row[label_idx].strip())
+        cells = row[:label_idx] + row[label_idx + 1 :]
+        # _is_float's ASCII and underscore checks, made once on the joined
+        # cells, which keeps this loop as fast as float() alone
+        text = "".join(cells)
         try:
-            rows.append(
-                [float(cell) for j, cell in enumerate(row) if j != label_idx]
-            )
+            if not text.isascii() or "_" in text:
+                raise ValueError
+            rows.append([float(cell) for cell in cells])
         except ValueError:
             bad = next(
                 j for j, cell in enumerate(row)
@@ -157,6 +167,10 @@ def _resolve_label_column(label_column, header, width, path) -> int:
 
 
 def _is_float(cell: str) -> bool:
+    """Whether ``cell`` is a feature value: ASCII without ``_``, and read by
+    ``float``, which alone would also take "1_000" and other scripts' digits."""
+    if not cell.isascii() or "_" in cell:
+        return False
     try:
         float(cell)
         return True

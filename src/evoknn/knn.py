@@ -13,7 +13,9 @@ predicted classes:
 
 - ``mask_predictions`` scores a list of masks, ``_block_rows`` at a time, in
   one feature-outer ``_d2`` pass each: every active feature's ``_term`` is
-  computed once and added into every mask that uses it.
+  computed once and added into every mask that uses it.  A term is the
+  train column gathered once and broadcast down the query rows, minus the
+  query column, squared.
 - ``subset_predictions`` scores every non-empty subset by prefix extension
   (Narendra & Fukunaga, 1977).  The top ``b`` features, ``2**b`` rows, span
   one block; the low sets ``s`` are visited in ascending order, low feature
@@ -37,12 +39,14 @@ call while the benchmark's hooks count and time it.  The k neighbours of a
 row come from k argmin passes, so distance ties go to the lower sample
 index; each pick is read and retired through its flat index.  That costs
 O(k * queries * train) where a sort costs O(queries * train * log train);
-the paper and its workloads use k <= 3.  The votes are counted class-major:
-one bincount over (class, row) cells makes (classes x rows) counts and
-summed distances, so each per-row step runs along the short class axis over
-contiguous rows.  A vote tie goes to the class whose voting neighbours have
-the smallest summed distance, added in neighbour order, then to the smaller
-class id, or to ``REJECT`` in reject mode.
+the paper and its workloads use k <= 3.  At k = 1 the nearest sample's class
+is the prediction, with no vote: one neighbour cannot tie, in either mode.
+Otherwise the votes are counted class-major: one bincount over (class, row)
+cells makes (classes x rows) counts and summed distances, so each per-row
+step runs along the short class axis over contiguous rows.  A vote tie goes
+to the class whose voting neighbours have the smallest summed distance,
+added in neighbour order, then to the smaller class id, or to ``REJECT`` in
+reject mode.
 """
 
 from __future__ import annotations
@@ -119,8 +123,17 @@ class FeatureMask:
 def _term(train: Dataset, queries: np.ndarray, j: int, out=None) -> np.ndarray:
     """Feature ``j``'s (queries x train) squared differences, into ``out`` if
     given.  The one place this term is written: both ways of filling a d2
-    block add it, so their sums agree bit for bit."""
-    term = np.subtract.outer(queries[:, j], train.features[:, j], out=out)
+    block add it, so their sums agree bit for bit.
+
+    The train column is gathered once into row 0 and broadcast down, then
+    the query column is subtracted in place: faster than
+    ``np.subtract.outer(q, t)``, and since ``t - q`` is exactly ``-(q - t)``
+    its square is the same bit for bit.  Row 0 is written through ``[:1]``,
+    so zero queries give an empty term."""
+    term = np.empty((queries.shape[0], train.n_samples)) if out is None else out
+    term[:1] = train.features[:, j]
+    term[1:] = term[:1]
+    term -= queries[:, j, None]
     return np.square(term, out=term)
 
 
@@ -152,13 +165,14 @@ def _d2(train: Dataset, queries, masks: Sequence[FeatureMask], out=None) -> np.n
     term = np.empty(shape[1:])
     # (feature, mask) pairs, feature-major
     features, owners = np.nonzero(np.stack([mask.bits for mask in masks]).T)
+    rows = list(d2)  # one view per mask, built once: cheaper than d2[m] per add
     last = -1
     with np.errstate(over="ignore"):
         for j, m in zip(features.tolist(), owners.tolist()):
             if j != last:
                 _term(train, queries, j, out=term)
                 last = j
-            d2[m] += term
+            rows[m] += term
     return d2
 
 
@@ -193,23 +207,26 @@ def _vote(
         pick = pick + starts
         near[i] = d2[pick]
         keys[pick] = _RETIRED
-
-    # one bincount over class-major (class, row) cells counts every row's
-    # votes at once; each per-row step below then runs along the short class
-    # axis 0, across contiguous rows
-    cells = (labels[order] * n_rows + np.arange(n_rows)).ravel()
-    counts = np.bincount(cells, minlength=n_classes * n_rows).reshape(n_classes, n_rows)
-    tied = counts == counts.max(axis=0)
-    del counts  # freed before sums is allocated, which lowers the peak
-    if reject_ties:
-        predicted = np.where(np.count_nonzero(tied, axis=0) == 1, tied.argmax(axis=0), REJECT)
+    if k == 1:
+        # one neighbour cannot tie, in either mode: its class is the prediction
+        predicted = labels[order[0]]
     else:
-        # tie rule: smallest summed distance of the class's voting neighbours,
-        # then smallest class id; bincount adds each cell's weights in input
-        # order, which is neighbour order
-        sums = np.bincount(cells, weights=np.sqrt(near).ravel(), minlength=tied.size)
-        sums = np.where(tied, sums.reshape(tied.shape), np.inf)
-        predicted = (tied & (sums == sums.min(axis=0))).argmax(axis=0)
+        # one bincount over class-major (class, row) cells counts every row's
+        # votes at once; each per-row step below then runs along the short
+        # class axis 0, across contiguous rows
+        cells = (labels[order] * n_rows + np.arange(n_rows)).ravel()
+        counts = np.bincount(cells, minlength=n_classes * n_rows).reshape(n_classes, n_rows)
+        tied = counts == counts.max(axis=0)
+        del counts  # freed before sums is allocated, which lowers the peak
+        if reject_ties:
+            predicted = np.where(np.count_nonzero(tied, axis=0) == 1, tied.argmax(axis=0), REJECT)
+        else:
+            # tie rule: smallest summed distance of the class's voting
+            # neighbours, then smallest class id; bincount adds each cell's
+            # weights in input order, which is neighbour order
+            sums = np.bincount(cells, weights=np.sqrt(near).ravel(), minlength=tied.size)
+            sums = np.where(tied, sums.reshape(tied.shape), np.inf)
+            predicted = (tied & (sums == sums.min(axis=0))).argmax(axis=0)
     return order.T.reshape(*lead, k), near.T.reshape(*lead, k), predicted.reshape(lead)
 
 

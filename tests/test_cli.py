@@ -862,6 +862,25 @@ def test_ragged_csv_is_a_data_error(tmp_path, capsys):
     assert "row 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell, name", [("1_000", "a"), ("\u0662", "a"),
+                                        ("1", "a\x01b"), ("1", "a\nb")])
+def test_lenient_numbers_and_control_characters_in_names_are_data_errors(
+        tmp_path, capsys, cell, name):
+    # float() reads both cells, as 1000.0 and 2.0; a name holding U+0001 made
+    # an SVG that XML refuses, and one holding a line break split eval's one
+    # line per sample
+    path = tmp_path / "d.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [["f0", "f1", "label"], [cell, "2", name], ["3", "4", "b"]])
+    for argv in (["eval", str(path), str(path), "--mask", "0,1"],
+                 ["project", str(path), "--pair", "0,1", "--out", str(tmp_path / "c.csv"),
+                  "--svg", str(tmp_path / "s.svg")]):
+        assert cli.main(argv) == 1, argv
+        assert "error:" in capsys.readouterr().err, argv
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+
 def test_unknown_label_column_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("f0,f1,label\n1,2,a\n3,4,b\n")

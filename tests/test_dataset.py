@@ -106,6 +106,11 @@ def test_dataset_rejects_bad_shapes_and_values():
         Dataset(np.ones((2, 2)), np.array([0, 1]), ("a",))
     with pytest.raises(DatasetError):  # duplicate names
         Dataset(np.ones((1, 2)), np.array([0]), ("a", "a"))
+    # a control character in a name, but tab: U+0000-U+0008, U+000A-U+001F, U+007F
+    for odd in ("a\x00b", "a\x01b", "a\nb", "a\rb", "a\x1fb", "a\x7fb"):
+        with pytest.raises(DatasetError, match="control characters"):
+            Dataset(np.ones((1, 2)), np.array([0]), (odd,))
+    assert Dataset(np.ones((1, 2)), np.array([0]), ("a\tb",)).classes == ("a\tb",)
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -230,6 +235,17 @@ def test_load_csv_errors(tmp_path):
     text.write_text("x,y,label\n1,huh,a\n")
     with pytest.raises(DatasetError, match="huh"):
         load_csv(text)
+    # float() reads these as 1000.0, 2.0 and 2.0; a feature cell is an ASCII
+    # number without underscores
+    for odd in ("1_000", "\u0662", "\uff12"):
+        lenient = tmp_path / "lenient.csv"
+        lenient.write_text(f"x,y,label\n1,2,a\n3,{odd},b\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=(
+                f"non-numeric feature value {odd!r} at row 3, column 1")):
+            load_csv(lenient)
+    spaced = tmp_path / "spaced.csv"  # surrounding ASCII whitespace still reads
+    spaced.write_text("x,y,label\n 1 ,\t2.5e1\t,a\n")
+    assert load_csv(spaced).features.tolist() == [[1.0, 25.0]]
 
     missing = tmp_path / "missing.csv"
     missing.write_text("x,y,label\n1,2,a\n")

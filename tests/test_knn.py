@@ -15,6 +15,7 @@ from evoknn.knn import (
     FeatureMask,
     _d2,
     _knn,
+    _term,
     _vote,
     recognition_rate,
 )
@@ -149,6 +150,17 @@ def test_classify_vote_tie_prefers_closer_class():
 def test_classify_vote_tie_equal_distance_prefers_smaller_id():
     train = from_rows([[-1.0], [1.0]], ["b", "a"])  # first appearance: b -> 0
     assert predict(train, [0.0], 2, FeatureMask(np.ones(1, bool))) == 0
+
+
+def test_k1_equal_distance_goes_to_the_lower_index_and_is_never_rejected():
+    # samples 1 (class b, id 1) and 2 (class a, id 0) both lie at d2 = 1: one
+    # neighbour is kept, the lower index, so b wins though a has the smaller id
+    train = from_rows([[5.0], [-1.0], [1.0]], ["a", "b", "a"])
+    for reject in (False, True):
+        order, near, predicted = _vote(np.array([[25.0, 1.0, 1.0]]), train.labels,
+                                       len(train.classes), 1, reject)
+        assert (order.tolist(), near.tolist(), predicted.tolist()) == ([[1]], [[1.0]], [1])
+        assert predict(train, [0.0], 1, FeatureMask(np.ones(1, bool)), reject) == 1
 
 
 def test_classify_reject_mode():
@@ -465,6 +477,35 @@ def test_stacked_d2_is_each_masks_sequential_sum_bit_for_bit(rng):
             for q, row in zip(queries.tolist(), got.tolist()):
                 assert row == [d2 for _, d2 in sorted(
                     nearest_oracle(rows.tolist(), q, n_train, active))]
+
+
+def test_term_is_the_outer_difference_squared_bit_for_bit(rng):
+    # the gathered train column minus the query column, squared, must equal
+    # the square of q - t bit for bit: magnitudes over six decades, signed
+    # zeros, one query or many, one training sample or many, and +inf where
+    # the square overflows
+    for n_queries, n_train in ((1, 1), (1, 9), (6, 1), (6, 9)):
+        length = 7
+        scale = 10.0 ** rng.integers(-3, 4, size=length)
+        rows = rng.normal(size=(n_train, length)) * scale
+        queries = rng.normal(size=(n_queries, length)) * scale
+        rows[0, :3], queries[0, :3] = (1e200, 0.0, -0.0), (-1e200, -0.0, 0.0)
+        train = from_rows(rows.tolist(), ["a"] * n_train)
+        out = np.empty((n_queries, n_train))
+        with np.errstate(over="ignore"):
+            for j in range(length):
+                want = np.square(np.subtract.outer(queries[:, j], rows[:, j])).view(np.int64)
+                assert np.array_equal(_term(train, queries, j).view(np.int64), want)
+                assert _term(train, queries, j, out=out) is out
+                assert np.array_equal(out.view(np.int64), want)
+            assert _term(train, queries, 0)[0, 0] == math.inf  # 1e200 - -1e200, squared
+
+
+def test_d2_of_no_queries_is_an_empty_block():
+    train = from_rows([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], ["a", "b", "a"])
+    masks = [FeatureMask.from_indices([0], 2), FeatureMask.from_indices([0, 1], 2)]
+    assert _term(train, np.empty((0, 2)), 1).shape == (0, 3)
+    assert _d2(train, np.empty((0, 2)), masks).shape == (2, 0, 3)
 
 
 @settings(derandomize=True, database=None)
