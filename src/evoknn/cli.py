@@ -106,6 +106,18 @@ def _refuse_line_breaks(args, *flags: str) -> None:
                              "which the manifest cannot record")
 
 
+def _refuse_overwrites(inputs, artefacts) -> None:
+    """Each artefact must be a file of its own: one that resolves to an input
+    or to an earlier artefact would destroy it, and the manifest would then
+    list or hash a file that no longer holds what it says."""
+    taken = {Path(path).resolve(): f"input {path}" for path in inputs}
+    for path in artefacts:
+        resolved = Path(path).resolve()
+        if resolved in taken:
+            raise UsageError(f"artefact {path} would overwrite {taken[resolved]}")
+        taken[resolved] = f"artefact {path}"
+
+
 def _parse_int_list(text: str, what: str) -> list[int]:
     """Comma-separated canonical decimals, each ``0|[1-9][0-9]*``: no sign,
     space, underscore or leading zero, so ``007`` and ``01`` are refused."""
@@ -261,6 +273,10 @@ def cmd_synth(args) -> int:
 def cmd_select(args) -> int:
     _refuse_line_breaks(args, "train", "eval", "--holdout", "--label-column")
     paths = [args.train, args.eval] + ([args.holdout] if args.holdout else [])
+    out_dir = Path(args.out_dir)
+    trace_path, mask_path, summary_path = (
+        out_dir / name for name in ("trace.csv", "best_mask.txt", "summary.txt"))
+    _refuse_overwrites(paths, [trace_path, mask_path, summary_path])
     train, eval_set, *rest = _load_problem(args, *paths, normalize=args.normalize)
     holdout = rest[0] if rest else None
 
@@ -270,12 +286,10 @@ def cmd_select(args) -> int:
     best, trace, stopped = evolve(train, eval_set, cfg)
     wall = time.perf_counter() - started
 
-    out_dir = Path(args.out_dir)
-    summary_path = out_dir / "summary.txt"
     summary_path.unlink(missing_ok=True)
-    write_trace(trace, out_dir / "trace.csv")
+    write_trace(trace, trace_path)
     mask = best.mask
-    with atomic_write(out_dir / "best_mask.txt") as fh:
+    with atomic_write(mask_path) as fh:
         fh.write(mask.to_string() + "\n")
 
     length = train.feature_count
@@ -321,7 +335,7 @@ def cmd_select(args) -> int:
 def cmd_eval(args) -> int:
     train, test = _load_problem(args, args.train, args.test, normalize=args.normalize)
     mask = _parse_mask(args.mask, train.feature_count)
-    hits, rate, per_sample = recognition_rate(
+    hits, rate, predicted = recognition_rate(
         train, test, args.k, mask, reject_ties=args.reject_ties
     )
     print(f"command = eval")
@@ -330,9 +344,9 @@ def cmd_eval(args) -> int:
     print(f"active_features = {mask.to_index_string()}")
     print(f"hits = {hits}")
     print(f"rate = {rate!r}")
-    for idx, (predicted, actual) in enumerate(per_sample):
-        pred_name = "REJECT" if predicted == REJECT else train.classes[predicted]
-        marker = "" if predicted == actual else "\tMISS"
+    for idx, (guess, actual) in enumerate(zip(predicted.tolist(), test.labels.tolist())):
+        pred_name = "REJECT" if guess == REJECT else train.classes[guess]
+        marker = "" if guess == actual else "\tMISS"
         print(f"{idx}\t{pred_name}\t{train.classes[actual]}{marker}")
     return EXIT_OK
 
@@ -377,6 +391,16 @@ def cmd_project(args) -> int:
     pairs = _expand_pairs(args.pair, mask, data.feature_count) if args.pair else []
     out = Path(args.out)
     manifest_path = out.with_suffix(".manifest.txt")
+    if args.pair:
+        svg = Path(args.svg) if args.svg else None
+        # (coordinates, SVG or None) per pair
+        views = [(out.with_name(f"{out.stem}_pair_{a}_{b}{out.suffix or '.csv'}"),
+                  svg and svg.with_name(f"{svg.stem}_pair_{a}_{b}{svg.suffix or '.svg'}"))
+                 for a, b in pairs]
+    else:
+        views = [(out, args.svg)]
+    _refuse_overwrites([args.dataset], [path for view in views for path in view if path]
+                       + [manifest_path])
     manifest_path.unlink(missing_ok=True)
 
     manifest = _flags(args, mask=mask.to_string() if mask else None) + _digests(
@@ -387,15 +411,12 @@ def cmd_project(args) -> int:
     outputs: list[str] = []
 
     if args.pair:
-        for a, b in pairs:
+        for (a, b), (pair_out, svg_out) in zip(pairs, views):
             coords = data.features[:, [a, b]]
-            pair_out = out.with_name(f"{out.stem}_pair_{a}_{b}{out.suffix or '.csv'}")
             _write_coords(pair_out, ["sample_index", "label_name", f"f{a}", f"f{b}"],
                           coords, data.classes, data.labels)
             outputs.append(str(pair_out))
-            if args.svg:
-                svg = Path(args.svg)
-                svg_out = svg.with_name(f"{svg.stem}_pair_{a}_{b}{svg.suffix or '.svg'}")
+            if svg_out:
                 write_svg_scatter(svg_out, coords, data.labels, data.classes,
                                   x_label=f"feature {a}", y_label=f"feature {b}")
                 outputs.append(str(svg_out))

@@ -147,7 +147,10 @@ def load_csv(path, label_column=DEFAULT_LABEL_COLUMN, has_header: bool = True) -
             raise DatasetError(
                 f"{path}: non-numeric feature value {row[bad]!r} at row {lineno}, column {bad}"
             ) from None
-    return from_rows(rows, names)
+    try:
+        return from_rows(rows, names)
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def _resolve_label_column(label_column, header, width, path) -> int:

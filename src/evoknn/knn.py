@@ -2,8 +2,9 @@
 
 All operations are pure functions of immutable inputs; neighbour ordering and
 vote ties are fully specified so identical inputs always yield identical
-labels, regardless of evaluation order.  ``recognition_rate`` scores one mask
-on a whole test set through one kernel, ``_vote(_d2(...))``.
+labels, regardless of evaluation order.  Every caller's predictions come
+from one of the two generators below, ``mask_predictions`` or
+``subset_predictions``.
 
 This module owns the d2 block: a (masks x queries x train) array of squared
 distances, at most ``D2_BUDGET`` bytes, or one (queries x train) matrix when
@@ -33,14 +34,14 @@ Either way each mask receives its terms in ascending feature order, so each
 distance is the plain left-to-right sum a scalar loop makes, bit for bit.
 A sum too large for a double is +inf, which orders last.  ``_vote`` takes d2
 of shape (..., queries, train) and votes every row of every leading index
-in the same passes.  ``recognition_rate(..., predicted=...)`` then only
-counts one mask's hits in its row of that vote; the GA keeps this per-mask
-call while the benchmark's hooks count and time it.  The k neighbours of a
-row come from k argmin passes, so distance ties go to the lower sample
-index; each pick is read and retired through its flat index.  That costs
-O(k * queries * train) where a sort costs O(queries * train * log train);
-the paper and its workloads use k <= 3.  At k = 1 the nearest sample's class
-is the prediction, with no vote: one neighbour cannot tie, in either mode.
+in the same passes.  ``recognition_rate`` counts one mask's hits in its
+row and returns the row; the GA keeps this per-mask call while the
+benchmark's hooks count and time it.  The k neighbours of a row come from k
+argmin passes, so distance ties go to the lower sample index; each pick is
+read and retired through its flat index.  That costs O(k * queries * train)
+where a sort costs O(queries * train * log train); the paper and its
+workloads use k <= 3.  At k = 1 the nearest sample's class is the
+prediction, with no vote: one neighbour cannot tie, in either mode.
 Otherwise the votes are counted class-major: one bincount over (class, row)
 cells makes (classes x rows) counts and summed distances, so each per-row
 step runs along the short class axis over contiguous rows.  A vote tie goes
@@ -230,20 +231,14 @@ def _vote(
     return order.T.reshape(*lead, k), near.T.reshape(*lead, k), predicted.reshape(lead)
 
 
-def _knn(
-    train: Dataset, queries, k: int, mask: FeatureMask, reject_ties: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One mask's (neighbour indices, their d2, predicted class) per query row."""
-    return _vote(_d2(train, queries, [mask])[0], train.labels, len(train.classes), k, reject_ties)
-
-
 def _block_rows(train: Dataset, test: Dataset) -> int:
     """How many (queries x train) d2 matrices fit ``D2_BUDGET``, at least 1."""
     return max(1, D2_BUDGET // (8 * test.n_samples * train.n_samples))
 
 
 def mask_predictions(
-    train: Dataset, test: Dataset, k: int, masks: Iterable[FeatureMask]
+    train: Dataset, test: Dataset, k: int, masks: Iterable[FeatureMask],
+    reject_ties: bool = False,
 ) -> Iterator[tuple[FeatureMask, np.ndarray]]:
     """``(mask, predicted class per test sample)`` for each of ``masks``, in
     order.  Each chunk of ``_block_rows`` masks is one ``_d2`` pass into a
@@ -255,7 +250,7 @@ def mask_predictions(
         if block is None:
             block = np.empty((len(chunk), test.n_samples, train.n_samples))
         d2 = _d2(train, test.features, chunk, out=block)
-        yield from zip(chunk, _vote(d2, train.labels, len(train.classes), k)[2])
+        yield from zip(chunk, _vote(d2, train.labels, len(train.classes), k, reject_ties)[2])
 
 
 def subset_predictions(
@@ -299,22 +294,19 @@ def recognition_rate(
     reject_ties: bool = False,
     *,
     predicted: Optional[np.ndarray] = None,
-) -> tuple[int, float, list[tuple[int, int]]]:
-    """Classify every test sample; returns (hits, hit rate, per-sample pairs).
+) -> tuple[int, float, np.ndarray]:
+    """(hits, hit rate, predicted row) of ``mask`` on the test set.
 
-    ``per_sample`` lists (predicted, actual) label ids in test order, so
-    error listings can be reconstructed.  A rejected prediction never counts
-    as a hit.  ``predicted``, if given, is the mask's predicted class per test
-    sample as ``_vote`` returns it; the call then only counts hits.
-    """
+    The row is one class id per test sample, ``REJECT`` included, which never
+    counts as a hit: ``predicted`` if given, as a generator yielded it, else
+    ``mask_predictions`` on ``[mask]``."""
     if train.classes != test.classes:
         raise ValueError("train and test class vocabularies differ")
     if predicted is None:
-        predicted = _knn(train, test.features, k, mask, reject_ties)[2]
+        ((_, predicted),) = mask_predictions(train, test, k, [mask], reject_ties)
     elif predicted.shape != (test.n_samples,):
         raise ValueError(
             f"predicted has shape {predicted.shape}, not (test,) = {(test.n_samples,)}"
         )
     hits = int(np.count_nonzero(predicted == test.labels))
-    per_sample = list(zip(predicted.tolist(), test.labels.tolist()))
-    return hits, hits / test.n_samples, per_sample
+    return hits, hits / test.n_samples, predicted

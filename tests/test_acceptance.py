@@ -15,7 +15,7 @@ import pytest
 from evoknn import cli
 from evoknn.dataset import from_rows, split_random
 from evoknn.ga import GaConfig, evolve, exhaustive_best, fitness
-from evoknn.knn import FeatureMask, _knn
+from evoknn.knn import FeatureMask, _d2, _vote
 from evoknn.pca import fit_pca2
 from evoknn.synth import SynthSpec, generate, generate_pool
 
@@ -70,7 +70,8 @@ def test_ac1_classifier_matches_bruteforce_oracle():
         for _ in range(3):
             query = rng.integers(-4, 5, size=length).astype(float)
             for reject in (False, True):
-                got = int(_knn(train, [query], k, mask, reject)[2][0])
+                d2 = _d2(train, [query], [mask])[0]
+                got = int(_vote(d2, train.labels, len(train.classes), k, reject)[2][0])
                 want = classify_oracle(rows.tolist(), train.labels.tolist(),
                                        query, k, active, len(train.classes),
                                        reject_ties=reject)

@@ -353,6 +353,9 @@ def test_select_holdout_and_stall(data_dir, tmp_path, capsys):
     assert summary["stopped_by"] == "stalled"
     assert summary["holdout_samples"] == "12"
     assert 0.0 <= float(summary["holdout_rate_percent"]) <= 100.0
+    # the holdout is the eval file, so it scores as the GA's best did
+    assert summary["holdout_hits"] == summary["final_recognition_hits"]
+    assert summary["holdout_rate_percent"] == summary["final_recognition_rate_percent"]
     assert summary["normalize"] == "true"
 
 
@@ -445,6 +448,16 @@ def test_a_mask_too_long_to_name_a_file_is_read_as_mask_text(tmp_path, capsys):
     assert cli.main(["project", train, "--mask", bits, "--out", str(coords)]) == 0
     capsys.readouterr()
     assert read_manifest(coords.with_suffix(".manifest.txt"))["mask"] == bits
+
+
+def test_eval_scores_its_mask_in_one_d2_pass_and_one_vote(data_dir, monkeypatch, capsys):
+    # eval takes the path select scores with: one (1, test, train) block
+    seen = _record_chunks(monkeypatch)
+    assert cli.main(["eval", str(data_dir / "train.csv"), str(data_dir / "test.csv"),
+                     "--mask", "1,4", "--k", "2", "--reject-ties"]) == 0
+    capsys.readouterr()
+    _assert_one_vote_per_chunk(seen, 1, 12, 24)
+    assert len(seen) == 2
 
 
 def test_eval_reject_ties_flag(data_dir, capsys):
@@ -881,6 +894,24 @@ def test_lenient_numbers_and_control_characters_in_names_are_data_errors(
     assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
 
+@pytest.mark.parametrize("cell, name", [("nan", "a"), ("1", "a\x01b")])
+def test_a_data_error_from_building_a_dataset_names_its_file(data_dir, tmp_path, capsys,
+                                                             cell, name):
+    # the checks run when the loaded rows become a Dataset, after the reader
+    # has left the file; its name must still reach the message
+    bad = tmp_path / "bad.csv"
+    with bad.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [["f0", "f1", "label"], [cell, "2", name], ["3", "4", "b"]])
+    good = tmp_path / "good.csv"
+    good.write_text("f0,f1,label\n1,2,a\n3,4,b\n")
+    for argv in (["eval", str(good), str(bad), "--mask", "0"],
+                 ["eval", str(bad), str(good), "--mask", "0"]):
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and str(good) not in err, argv
+
+
 def test_unknown_label_column_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("f0,f1,label\n1,2,a\n3,4,b\n")
@@ -1071,3 +1102,34 @@ def test_no_subcommand_exits_2(capsys):
         cli.main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    # the SVG over the coordinates, the manifest over the SVG, and the
+    # coordinates over the input
+    ["project", "{train}", "--out", "{run}/p.out", "--svg", "{run}/p.out"],
+    ["project", "{train}", "--out", "{run}/q.csv", "--svg", "{run}/q.manifest.txt"],
+    ["project", "{train}", "--out", "{train}"],
+    ["project", "{train}", "--out", "{run}/../data/train.csv", "--mask", "1,4"],
+    # a repeated pair writes its CSV twice, and a pair's SVG named like its CSV
+    ["project", "{train}", "--out", "{run}/r.csv", "--pair", "1,4", "--pair", "1,4"],
+    ["project", "{train}", "--out", "{run}/r.csv", "--pair", "1,4", "--svg", "{run}/r.csv"],
+    # select's trace, best mask and summary over its train, eval or holdout file
+    ["select", "{data}/trace.csv", "{test}", "--out-dir", "{data}"],
+    ["select", "{train}", "{data}/best_mask.txt", "--out-dir", "{data}"],
+    ["select", "{train}", "{test}", "--holdout", "{data}/summary.txt", "--out-dir", "{data}"],
+])
+def test_an_artefact_path_that_overwrites_another_file_is_a_usage_error(
+        data_dir, tmp_path, capsys, argv):
+    # each of these exited 0, leaving a file destroyed and a manifest that
+    # lists or hashes what is no longer there
+    for name in ("trace.csv", "best_mask.txt", "summary.txt"):
+        (data_dir / name).write_bytes((data_dir / "train.csv").read_bytes())
+    (tmp_path / "run").mkdir()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    argv = [arg.format(train=data_dir / "train.csv", test=data_dir / "test.csv",
+                       data=data_dir, run=tmp_path / "run") for arg in argv]
+    argv += SELECT_FLAGS if argv[0] == "select" else []
+    assert cli.main(argv) == 2
+    assert "usage error: artefact" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before

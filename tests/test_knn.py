@@ -14,9 +14,9 @@ from evoknn.knn import (
     REJECT,
     FeatureMask,
     _d2,
-    _knn,
     _term,
     _vote,
+    mask_predictions,
     recognition_rate,
 )
 
@@ -60,18 +60,19 @@ def test_mask_rejects_bad_input():
 
 def nearest(train, x, k, mask):
     """(sample index, distance) of the k training samples nearest ``x``, in
-    ``_knn``'s neighbour order, each distance the square root of its d2."""
-    order, d2, _ = _knn(train, [x], k, mask)
+    ``_vote``'s neighbour order, each distance the square root of its d2."""
+    order, d2, _ = _vote(_d2(train, [x], [mask])[0], train.labels, len(train.classes), k)
     return [(i, math.sqrt(d)) for i, d in zip(order[0].tolist(), d2[0].tolist())]
 
 
 def predict(train, x, k, mask, reject_ties=False):
-    """``_knn``'s predicted class for the one query ``x``."""
-    return int(_knn(train, [x], k, mask, reject_ties)[2][0])
+    """``_vote``'s predicted class for the one query ``x``."""
+    d2 = _d2(train, [x], [mask])[0]
+    return int(_vote(d2, train.labels, len(train.classes), k, reject_ties)[2][0])
 
 
 def distance(x, y, mask):
-    """The masked distance from x to y, as ``_knn`` reports it."""
+    """The masked distance from x to y, as ``_vote`` reports it."""
     return nearest(from_rows([y], ["a"]), x, 1, mask)[0][1]
 
 
@@ -96,14 +97,14 @@ def test_masked_distance_metric_axioms(rng):
 def test_masked_distance_validates_shapes():
     two = from_rows([[1.0, 2.0]], ["a"])
     with pytest.raises(ValueError, match="2 features"):
-        _knn(two, [[1, 2, 3]], 1, FeatureMask(np.ones(2, bool)))
+        _d2(two, [[1, 2, 3]], [FeatureMask(np.ones(2, bool))])
     with pytest.raises(ValueError, match="2 features"):
         recognition_rate(two, from_rows([[1.0, 2.0, 3.0]], ["a"]), 1,
                          FeatureMask(np.ones(2, bool)))
     with pytest.raises(ValueError, match="mask length 3"):
-        _knn(two, [[1, 2]], 1, FeatureMask(np.ones(3, bool)))
+        _d2(two, [[1, 2]], [FeatureMask(np.ones(3, bool))])
     with pytest.raises(ValueError, match="no active features"):
-        _knn(two, [[3, 4]], 1, FeatureMask.from_string("00"))
+        _d2(two, [[3, 4]], [FeatureMask.from_string("00")])
 
 
 # ----------------------------------------------------------- neighbours
@@ -118,10 +119,12 @@ def test_k_nearest_orders_by_distance_then_index(grid_dataset):
 
 
 def test_k_nearest_validates_k(grid_dataset):
+    d2 = _d2(grid_dataset, [[0.0, 0.0, 0.0]], [FeatureMask(np.ones(3, bool))])[0]
+    n_classes = len(grid_dataset.classes)
     with pytest.raises(ValueError):
-        _knn(grid_dataset, [[0.0, 0.0, 0.0]], 0, FeatureMask(np.ones(3, bool)))
+        _vote(d2.copy(), grid_dataset.labels, n_classes, 0)
     with pytest.raises(ValueError):
-        _knn(grid_dataset, [[0.0, 0.0, 0.0]], 7, FeatureMask(np.ones(3, bool)))
+        _vote(d2.copy(), grid_dataset.labels, n_classes, 7)
 
 
 # ----------------------------------------------------------- classification
@@ -204,11 +207,12 @@ def test_recognition_rate_counts_and_pairs(grid_dataset):
         [[0.0, 0.5, 0.0], [4.5, 4.0, 0.5], [9.0, 0.5, 2.0], [4.0, 0.0, 0.0]],
         ["a", "b", "c", "c"],
     )
-    hits, rate, per_sample = recognition_rate(grid_dataset, test, 1,
-                                              FeatureMask(np.ones(3, bool)))
+    hits, rate, predicted = recognition_rate(grid_dataset, test, 1,
+                                             FeatureMask(np.ones(3, bool)))
     assert hits == 3
     assert rate == 3 / 4
-    assert per_sample == [(0, 0), (1, 1), (2, 2), (0, 2)]
+    assert list(zip(predicted.tolist(), test.labels.tolist())) == [
+        (0, 0), (1, 1), (2, 2), (0, 2)]
 
 
 def test_recognition_rate_requires_matching_vocabulary(grid_dataset):
@@ -223,8 +227,10 @@ def test_recognition_rate_refuses_predictions_of_the_wrong_shape(grid_dataset):
     mask = FeatureMask(np.ones(3, bool))
     predicted = _vote(_d2(train, test.features, [mask]), train.labels,
                       len(train.classes), 1)[2]
-    want = recognition_rate(train, test, 1, mask)
-    assert recognition_rate(train, test, 1, mask, predicted=predicted[0]) == want
+    hits, rate, row = recognition_rate(train, test, 1, mask)
+    given = recognition_rate(train, test, 1, mask, predicted=predicted[0])
+    assert given[:2] == (hits, rate)
+    assert given[2].tolist() == row.tolist() == predicted[0].tolist()
     for bad in (predicted, predicted.T, predicted[0, :1]):
         with pytest.raises(ValueError, match="not \\(test,\\)"):
             recognition_rate(train, test, 1, mask, predicted=bad)
@@ -235,17 +241,17 @@ def test_rejected_samples_never_count_as_hits():
     # first query's 2 nearest split a/b (vote tie); second's are both a
     test = from_rows([[1.2], [0.1]], ["a", "a"])
     train, test = unify_vocabulary(train, test)
-    hits, rate, per_sample = recognition_rate(train, test, 2,
-                                              FeatureMask(np.ones(1, bool)),
-                                              reject_ties=True)
-    assert per_sample[0] == (REJECT, 0)
+    hits, rate, predicted = recognition_rate(train, test, 2,
+                                             FeatureMask(np.ones(1, bool)),
+                                             reject_ties=True)
+    assert (predicted[0], test.labels[0]) == (REJECT, 0)
     assert hits == 1 and rate == 0.5
 
 
 # ----------------------------------------------------------- oracle equivalence
 
 def test_classify_matches_naive_oracle_on_random_integer_instances(rng):
-    """Exact agreement of ``_knn`` and ``recognition_rate`` with an
+    """Exact agreement of ``_vote(_d2(...))`` and ``recognition_rate`` with an
     independent compute-all/sort/vote reference.
 
     Integer-valued features keep every squared distance exactly representable,
@@ -287,12 +293,13 @@ def test_classify_matches_naive_oracle_on_random_integer_instances(rng):
         for k_all in (1, 3, 5):
             k_all = min(k_all, n_train)
             for reject in (False, True):
-                hits, _, per_sample = recognition_rate(train, test, k_all, mask,
-                                                       reject_ties=reject)
+                hits, _, predicted = recognition_rate(train, test, k_all, mask,
+                                                      reject_ties=reject)
                 want = [classify_oracle(rows.tolist(), train.labels.tolist(), q,
                                         k_all, active, len(train.classes),
                                         reject_ties=reject) for q in queries]
-                if per_sample != list(zip(want, actual.tolist())):
+                if list(zip(predicted.tolist(), actual.tolist())) != list(
+                        zip(want, actual.tolist())):
                     mismatches += 1
                 if hits != sum(p == a for p, a in zip(want, actual.tolist())):
                     mismatches += 1
@@ -333,6 +340,8 @@ def test_every_k_and_reject_mode_matches_the_oracle_on_integer_grids(problem):
         for reject in (False, True):
             order, near, predicted = _vote(stacked.copy(), train.labels, n_classes,
                                            k, reject)
+            # the same masks through the generator every caller scores with
+            yielded = [row for _, row in mask_predictions(train, test, k, masks, reject)]
             assert order.shape == near.shape == (len(masks), test.n_samples, k)
             for m, mask in enumerate(masks):
                 active = mask.active_indices().tolist()
@@ -341,13 +350,14 @@ def test_every_k_and_reject_mode_matches_the_oracle_on_integer_grids(problem):
                     assert list(zip(got_order.tolist(), got_near.tolist())) == want
                     assert nearest(train, q, k, mask) == [
                         (i, math.sqrt(d2)) for i, d2 in want]
-                _, _, per_sample = recognition_rate(train, test, k, mask,
-                                                    reject_ties=reject)
+                _, _, row = recognition_rate(train, test, k, mask, reject_ties=reject)
                 want = [classify_oracle(rows, labels, q.tolist(), k, active,
                                         n_classes, reject_ties=reject)
                         for q in test.features]
-                assert per_sample == list(zip(want, test.labels.tolist()))
+                assert list(zip(row.tolist(), test.labels.tolist())) == list(
+                    zip(want, test.labels.tolist()))
                 assert predicted[m].tolist() == want
+                assert yielded[m].tolist() == want
 
 
 @pytest.mark.parametrize("lead", [(2, 1, 3), (1, 2, 2), (2, 0, 3), (0, 1, 1)])
