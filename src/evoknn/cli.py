@@ -54,6 +54,10 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a closed pipe
 
 # default pool: 14 class sizes summing to 237, split 187/50 by --test-count
 DEFAULT_CLASS_SIZES = (20, 20, 8, 4, 20, 20, 20, 20, 20, 15, 20, 10, 20, 20)
+# synth's pool-split flags, which default to None on the parser so that a
+# per-class run can tell a given one and refuse it
+POOL_DEFAULTS = {"class_sizes": ",".join(map(str, DEFAULT_CLASS_SIZES)),
+                 "test_count": 50, "stratified": False}
 
 
 class UsageError(Exception):
@@ -174,6 +178,15 @@ def _ga_config(args) -> tuple[GaConfig, list[str]]:
     return cfg, caught
 
 
+def _names_a_file(value: str) -> bool:
+    try:
+        return Path(value).is_file()
+    except OSError as exc:
+        if exc.errno != errno.ENAMETOOLONG:
+            raise
+        return False
+
+
 def _parse_mask(value: str, feature_count: int) -> FeatureMask:
     """Mask text, or a file whose first non-comment line is mask text.
 
@@ -181,19 +194,12 @@ def _parse_mask(value: str, feature_count: int) -> FeatureMask:
     so it is a usage error; ``./70`` names the file ``70``.  A value too long
     to be a file name, such as a bit string on a few hundred features, is
     mask text."""
-    path = Path(value)
-    try:
-        names_a_file = path.is_file()
-    except OSError as exc:
-        if exc.errno != errno.ENAMETOOLONG:
-            raise
-        names_a_file = False
-    if not names_a_file:
+    if not _names_a_file(value):
         return _parse_mask_text(value, value, feature_count)
     try:
         mask = _parse_mask_text(value, value, feature_count)
     except UsageError:
-        lines = [ln.strip() for ln in path.read_text(encoding="utf-8-sig").splitlines()]
+        lines = [ln.strip() for ln in Path(value).read_text(encoding="utf-8-sig").splitlines()]
         lines = [ln for ln in lines if ln and not ln.startswith("#")]
         if not lines:
             raise UsageError(f"mask file {value} is empty")
@@ -234,6 +240,13 @@ def cmd_synth(args) -> int:
     uniform = args.train_per_class is not None or args.test_per_class is not None
     if uniform and (args.train_per_class is None or args.test_per_class is None):
         raise UsageError("--train-per-class and --test-per-class go together")
+    given = {dest: value for dest in POOL_DEFAULTS
+             if (value := getattr(args, dest)) is not None and value is not False}
+    if uniform and given:
+        raise UsageError(", ".join("--" + dest.replace("_", "-") for dest in given)
+                         + ": pool-split flags, unused with --train-per-class")
+    # a per-class manifest echoes none for each pool-split flag: none applied
+    pool = dict.fromkeys(POOL_DEFAULTS) if uniform else POOL_DEFAULTS | given
     informative = _parse_int_list(args.informative, "--informative")
     try:
         # each value checked here comes from a flag: a refusal is a usage error
@@ -241,9 +254,9 @@ def cmd_synth(args) -> int:
         if uniform:
             train, test = generate(spec)
         else:
-            sizes = tuple(_parse_int_list(args.class_sizes, "--class-sizes"))
-            train, test = split_random(generate_pool(spec, sizes), args.test_count,
-                                       spec.seed, stratified=args.stratified)
+            sizes = tuple(_parse_int_list(pool["class_sizes"], "--class-sizes"))
+            train, test = split_random(generate_pool(spec, sizes), pool["test_count"],
+                                       spec.seed, stratified=pool["stratified"])
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -256,7 +269,7 @@ def cmd_synth(args) -> int:
     write_csv(test, test_path)
     mode = [("mode", "per_class")] if uniform else [("mode", "pool_split"),
                                                      ("pool_size", sum(sizes))]
-    manifest = _flags(args) + mode + [
+    manifest = _flags(args, **pool) + mode + [
         ("train_rows", train.n_samples),
         ("test_rows", test.n_samples),
         ("train_file", train_path),
@@ -399,8 +412,10 @@ def cmd_project(args) -> int:
                  for a, b in pairs]
     else:
         views = [(out, args.svg)]
-    _refuse_overwrites([args.dataset], [path for view in views for path in view if path]
-                       + [manifest_path])
+    # a parsed --mask that names a file was read from it
+    mask_file = [args.mask] if mask and _names_a_file(args.mask) else []
+    _refuse_overwrites([args.dataset] + mask_file,
+                       [path for view in views for path in view if path] + [manifest_path])
     manifest_path.unlink(missing_ok=True)
 
     manifest = _flags(args, mask=mask.to_string() if mask else None) + _digests(
@@ -448,17 +463,17 @@ def cmd_project(args) -> int:
 def cmd_oracle(args) -> int:
     train, eval_set = _load_problem(args, args.train, args.eval)
     cfg, _ = _ga_config(args)
-    mask, fitness_value, hits, nf, scored = exhaustive_best(train, eval_set, cfg)
+    best, scored = exhaustive_best(train, eval_set, cfg)
     print("command = oracle")
     print(f"alpha = {cfg.alpha!r}")
     print(f"beta = {cfg.beta!r}")
     print(f"k = {cfg.k}")
     print(f"subsets_evaluated = {scored}")
-    print(f"best_mask = {mask.to_string()}")
-    print(f"best_features = {mask.to_index_string()}")
-    print(f"best_fitness = {fitness_value!r}")
-    print(f"hits = {hits}")
-    print(f"nf = {nf}")
+    print(f"best_mask = {best.mask.to_string()}")
+    print(f"best_features = {best.mask.to_index_string()}")
+    print(f"best_fitness = {best.fitness!r}")
+    print(f"hits = {best.hits}")
+    print(f"nf = {best.nf}")
     return EXIT_OK
 
 
@@ -520,10 +535,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --test-per-class: exact per-class counts instead of a pool")
     p.add_argument("--test-per-class", type=int,
                    help="with --train-per-class: exact per-class counts instead of a pool")
-    p.add_argument("--class-sizes", default=",".join(map(str, DEFAULT_CLASS_SIZES)),
-                   help="per-class pool sizes (default %(default)s)")
-    p.add_argument("--test-count", type=int, default=50,
-                   help="random test samples drawn from the pool (default %(default)s)")
+    p.add_argument("--class-sizes",
+                   help=f"per-class pool sizes (default {POOL_DEFAULTS['class_sizes']})")
+    p.add_argument("--test-count", type=int, help="random test samples drawn from the "
+                   f"pool (default {POOL_DEFAULTS['test_count']})")
     p.add_argument("--stratified", action="store_true",
                    help="stratify the pool split per class")
     p.set_defaults(func=cmd_synth)

@@ -126,7 +126,8 @@ def test_ac3_ga_attains_exhaustive_optimum_on_small_problems():
                          train_per_class=8, test_per_class=4, seed=seed)
         train, test = generate(spec)
         cfg = quiet_config(population_size=50, max_generations=150, seed=seed)
-        _, best_fit, _, _, _ = exhaustive_best(train, test, cfg)
+        optimum, _ = exhaustive_best(train, test, cfg)
+        best_fit = optimum.fitness
         best, _, _ = evolve(train, test, cfg)
         exact += best.fitness == best_fit
         if best.fitness < best_fit - 0.05 * abs(best_fit):
@@ -149,11 +150,11 @@ def test_ga_attains_the_exhaustive_optimum_of_a_16_feature_problem():
                      train_per_class=8, test_per_class=4, seed=1)
     train, test = generate(spec)
     cfg = quiet_config(population_size=50, max_generations=150, seed=1)
-    mask, best_fit, _, _, scored = exhaustive_best(train, test, cfg)
+    optimum, scored = exhaustive_best(train, test, cfg)
     best, _, _ = evolve(train, test, cfg)
     assert scored == (1 << 16) - 1
-    assert mask.to_index_string() == "2,8,13"
-    assert best.fitness == best_fit
+    assert optimum.mask.to_index_string() == "2,8,13"
+    assert best.fitness == optimum.fitness
 
 
 def test_ac4_fitness_arithmetic_is_exact():
@@ -165,12 +166,12 @@ def test_ac4_fitness_arithmetic_is_exact():
     # classifies all 50 test samples correctly, masks of 3 and 5 features
     train = from_rows([[0.0, 0.0, 0.0]], ["a"])
     test = from_rows([[0.1 * i, 0.0, 0.0] for i in range(50)], ["a"] * 50)
-    fit3, hits3, nf3 = fitness(FeatureMask(np.ones(3, dtype=bool)), train, test,
-                               quiet_config(alpha=0.6, beta=0.6))
+    _, fit3, hits3, nf3 = fitness(FeatureMask(np.ones(3, dtype=bool)), train, test,
+                                 quiet_config(alpha=0.6, beta=0.6))
     train5 = from_rows([[0.0] * 5], ["a"])
     test5 = from_rows([[0.1 * i] + [0.0] * 4 for i in range(50)], ["a"] * 50)
-    fit5, hits5, nf5 = fitness(FeatureMask(np.ones(5, dtype=bool)), train5, test5,
-                               quiet_config(alpha=0.4, beta=0.4))
+    _, fit5, hits5, nf5 = fitness(FeatureMask(np.ones(5, dtype=bool)), train5, test5,
+                                 quiet_config(alpha=0.4, beta=0.4))
     functional_ok = (hits3, nf3, fit3) == (50, 3, 28.2) and \
                     (hits5, nf5, fit5) == (50, 5, 18.0)
     _report(

@@ -97,6 +97,16 @@ def test_synth_usage_errors(tmp_path, capsys):
     assert cli.main(base + ["--informative", "007"]) == 2  # leading zeros
     # refused by generate_pool, which is inside the usage-error mapping
     assert cli.main(base + ["--class-sizes", "0,20,8,4,20,20,20,20,20,15,20,10,20,20"]) == 2
+    # a pool-split flag has nothing to apply to in per-class mode; each of
+    # these exited 0 with a manifest echoing values that were never used
+    per_class = base + ["--train-per-class", "2", "--test-per-class", "1"]
+    for pool_flag in (["--stratified"], ["--test-count", "7"], ["--test-count", "50"],
+                      ["--class-sizes", "1,2"], ["--stratified", "--test-count", "7",
+                                                 "--class-sizes", "1,2"]):
+        capsys.readouterr()
+        assert cli.main(per_class + pool_flag) == 2
+        assert pool_flag[0] in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
     capsys.readouterr()
 
 
@@ -481,9 +491,9 @@ def test_oracle_matches_library_exhaustive(data_dir, capsys):
     train, test = unify_vocabulary(load_csv(data_dir / "train.csv"),
                                    load_csv(data_dir / "test.csv"))
     cfg = GaConfig(alpha=0.5, beta=0.5, seed=0)
-    mask, fit, hits, nf, scored = exhaustive_best(train, test, cfg)
-    assert got_mask == mask.to_string()
-    assert got_fit == fit
+    best, scored = exhaustive_best(train, test, cfg)
+    assert got_mask == best.mask.to_string()
+    assert got_fit == best.fitness
     assert got_scored == scored == 63
 
 
@@ -952,6 +962,16 @@ def test_mask_text_that_also_names_a_file_is_ambiguous(data_dir, tmp_path,
     assert stdout_field(capsys, "active_features") == "0,1"
 
 
+def test_mask_text_naming_no_file_leaves_project_free_to_write_that_name(
+        data_dir, tmp_path, monkeypatch, capsys):
+    # only a mask read from a file is one of project's inputs
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["project", str(data_dir / "train.csv"), "--mask", "1,4",
+                     "--out", "1,4"]) == 0
+    assert Path("1,4").read_text().startswith("sample_index,label_name,pc1,pc2\n")
+    capsys.readouterr()
+
+
 def test_closed_stdout_exits_141_without_a_message(data_dir):
     env = _cli_env()
     env.pop("PYTHONUNBUFFERED", None)
@@ -1118,6 +1138,10 @@ def test_no_subcommand_exits_2(capsys):
     ["select", "{data}/trace.csv", "{test}", "--out-dir", "{data}"],
     ["select", "{train}", "{data}/best_mask.txt", "--out-dir", "{data}"],
     ["select", "{train}", "{test}", "--holdout", "{data}/summary.txt", "--out-dir", "{data}"],
+    # the coordinates or the SVG over the mask file that --mask read
+    ["project", "{train}", "--mask", "{run}/m.txt", "--out", "{run}/m.txt"],
+    ["project", "{train}", "--mask", "{run}/m.txt", "--out", "{run}/c.csv",
+     "--svg", "{run}/m.txt"],
 ])
 def test_an_artefact_path_that_overwrites_another_file_is_a_usage_error(
         data_dir, tmp_path, capsys, argv):
@@ -1126,6 +1150,7 @@ def test_an_artefact_path_that_overwrites_another_file_is_a_usage_error(
     for name in ("trace.csv", "best_mask.txt", "summary.txt"):
         (data_dir / name).write_bytes((data_dir / "train.csv").read_bytes())
     (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "m.txt").write_text("1,4\n")
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     argv = [arg.format(train=data_dir / "train.csv", test=data_dir / "test.csv",
                        data=data_dir, run=tmp_path / "run") for arg in argv]

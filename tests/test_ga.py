@@ -1,5 +1,6 @@
 """Genetic-loop mechanics: operators, determinism, caching, exhaustive search."""
 
+import dataclasses
 import gc
 import hashlib
 import tracemalloc
@@ -13,6 +14,7 @@ from evoknn import ga, knn
 from evoknn.dataset import Dataset, from_rows
 from evoknn.ga import (
     GaConfig,
+    GenerationStats,
     Individual,
     crossover,
     evolve,
@@ -92,7 +94,7 @@ def test_fitness_is_alpha_hits_minus_beta_nf():
     train, test = tiny_problem()
     cfg = quiet_config(alpha=0.5, beta=0.25, k=1)
     ch = FeatureMask(np.array([0, 1, 0, 0, 1, 0], dtype=bool))
-    fit, hits, nf = fitness(ch, train, test, cfg)
+    _, fit, hits, nf = fitness(ch, train, test, cfg)
     assert nf == 2
     assert fit == 0.5 * hits - 0.25 * 2
 
@@ -344,11 +346,15 @@ def test_write_trace_format(tmp_path):
     write_trace(trace, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "generation,best_fitness,median_fitness,min_fitness,best_nf,best_hits,best_mask"
+    assert lines[0].split(",") == [f.name for f in dataclasses.fields(GenerationStats)]
     assert len(lines) == len(trace) + 1
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert float(first[1]) == trace[0].best_fitness
-    assert set(first[6]) <= {"0", "1"} and len(first[6]) == 6
+    # every cell reads back as the value it was written from
+    for line, stats in zip(lines[1:], trace):
+        generation, best, median, least, nf, hits, mask = line.split(",")
+        assert GenerationStats(int(generation), float(best), float(median), float(least),
+                               int(nf), int(hits), FeatureMask.from_string(mask)) == stats
+    assert lines[1].split(",")[0] == "0"
+    assert all(len(line.split(",")[6]) == 6 for line in lines[1:])
 
 
 # ----------------------------------------------------------- exhaustive search
@@ -356,12 +362,14 @@ def test_write_trace_format(tmp_path):
 def test_exhaustive_best_matches_pure_python_oracle():
     train, test = tiny_problem(seed=6)
     cfg = quiet_config(alpha=0.5, beta=0.3, k=1)
-    mask, fit, hits, nf, scored = exhaustive_best(train, test, cfg)
+    best, scored = exhaustive_best(train, test, cfg)
+    mask, fit, hits, nf = best
     bits, ofit, ohits, onf = exhaustive_oracle(
         train.features.tolist(), train.labels.tolist(),
         test.features.tolist(), test.labels.tolist(),
         train.feature_count, cfg.alpha, cfg.beta, cfg.k, len(train.classes),
     )
+    assert best == fitness(best.mask, train, test, cfg)
     assert fit == ofit and hits == ohits and nf == onf
     assert tuple(int(b) for b in mask.bits) == bits
     assert scored == 63
@@ -374,7 +382,7 @@ def test_exhaustive_best_prefers_fewer_features_on_fitness_ties():
     train = from_rows([[0.0, 0.0], [4.0, 4.0]], ["a", "b"])
     test = from_rows([[0.5, 0.5], [3.5, 3.5]], ["a", "b"])
     cfg = quiet_config(alpha=1.0, beta=0.0, k=1)
-    mask, fit, hits, nf, scored = exhaustive_best(train, test, cfg)
+    (mask, fit, hits, nf), scored = exhaustive_best(train, test, cfg)
     assert hits == 2 and nf == 1 and scored == 3
     assert mask.to_string() == "01"  # "01" < "10"
 
@@ -438,7 +446,7 @@ def test_exhaustive_best_scores_every_subset_exactly_once(monkeypatch, b):
         return vote(block, *args)
 
     monkeypatch.setattr(knn, "_vote", counted_vote)
-    *_, scored = exhaustive_best(train, test, quiet_config(alpha=0.5, beta=0.5))
+    _, scored = exhaustive_best(train, test, quiet_config(alpha=0.5, beta=0.5))
     masks = [mask.to_string() for mask, _ in log]
     assert scored == len(masks) == sum(rows) == 63
     assert sorted(masks) == [format(m, "06b") for m in range(1, 64)]
@@ -473,7 +481,7 @@ def test_exhaustive_best_matches_the_oracle_on_integer_grids(problem):
         mp.setattr(knn, "D2_BUDGET", block_budget(train, test, b))
         for k in range(1, 6):
             cfg = quiet_config(alpha=0.5, beta=0.3, k=k)
-            mask, fit, hits, nf, scored = exhaustive_best(train, test, cfg)
+            (mask, fit, hits, nf), scored = exhaustive_best(train, test, cfg)
             want = exhaustive_oracle(
                 train.features.tolist(), train.labels.tolist(),
                 test.features.tolist(), test.labels.tolist(),
@@ -505,15 +513,15 @@ def test_every_subset_scores_as_score_does_on_a_noisy_problem(monkeypatch):
     for k in (1, 2, 3, 5):
         cfg = quiet_config(alpha=0.5, beta=0.5, k=k)
         log.clear()  # _score below calls the wrapped fitness too
-        best, *_, scored = exhaustive_best(train, test, cfg)
+        best, scored = exhaustive_best(train, test, cfg)
         got = dict(log)
         assert scored == len(got) == 4095
-        assert got == dict(ga._score(masks, train, test, cfg))
+        assert got == {ind.mask: ind for ind in ga._score(masks, train, test, cfg)}
         if k in NOISY_SUBSETS:
             lines = sorted(f"{mask.to_string()},{fit!r},{hits},{nf}\n"
-                           for mask, (fit, hits, nf) in got.items())
+                           for mask, fit, hits, nf in got.values())
             digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-            assert (digest, best.to_string()) == NOISY_SUBSETS[k]
+            assert (digest, best.mask.to_string()) == NOISY_SUBSETS[k]
 
 
 def test_overflowing_distances_pick_the_same_best_mask_as_score():
@@ -529,10 +537,10 @@ def test_overflowing_distances_pick_the_same_best_mask_as_score():
     with np.errstate(over="ignore"):
         assert np.isinf(np.square(np.subtract.outer(test.features[:, 0],
                                                     train.features[:, 0]))).any()
-    mask, fit, hits, nf, _ = exhaustive_best(train, test, cfg)
+    best, _ = exhaustive_best(train, test, cfg)
     want = min(ga._score(all_subsets(6), train, test, cfg),
-               key=lambda s: (-s[1][0], s[1][2], s[0].bits.tobytes()))
-    assert (mask, (fit, hits, nf)) == want
+               key=lambda s: (-s.fitness, s.nf, s.mask.bits.tobytes()))
+    assert best == want
 
 
 def test_exhaustive_best_on_the_oracle_bench_shape_allocates_under_1_5_mib():
@@ -547,11 +555,11 @@ def test_exhaustive_best_on_the_oracle_bench_shape_allocates_under_1_5_mib():
     gc.disable()
     tracemalloc.start()
     try:
-        mask, *_, scored = exhaustive_best(train, test, cfg)
+        best, scored = exhaustive_best(train, test, cfg)
         left, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         gc.enable()
-    assert scored == 16383 and mask.to_index_string() == "1,5,9"
+    assert scored == 16383 and best.mask.to_index_string() == "1,5,9"
     assert peak < 1.5 * (1 << 20)
     assert left < 64 * 1024

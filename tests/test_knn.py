@@ -524,7 +524,7 @@ def test_chunked_scores_equal_one_mask_fitness_on_integer_grids(problem):
     train, test, masks = problem
     for k in range(1, train.n_samples + 1):
         cfg = GaConfig(k=k, alpha=0.5, beta=0.5)
-        want = [(mask, fitness(mask, train, test, cfg)) for mask in masks]
+        want = [fitness(mask, train, test, cfg) for mask in masks]
         assert scored_at_widths(masks, train, test, cfg) == [want] * 4
 
 
@@ -542,7 +542,7 @@ def test_chunked_scores_equal_one_mask_fitness_on_the_reference_pair(reference_p
                           [_d2(train, test.features, [m])[0] for m in masks])
     for k in (1, 3):
         cfg = GaConfig(k=k, alpha=0.5, beta=0.5)
-        want = [(mask, fitness(mask, train, test, cfg)) for mask in masks]
+        want = [fitness(mask, train, test, cfg) for mask in masks]
         assert scored_at_widths(masks, train, test, cfg) == [want] * 4
 
 
