@@ -19,6 +19,7 @@ import argparse
 import csv
 import errno
 import hashlib
+import json
 import os
 import re
 import sys
@@ -65,15 +66,22 @@ class UsageError(Exception):
 
 
 def _fmt(value) -> str:
+    """A manifest value, plain where a ``key = value`` line reads it back as
+    itself, else JSON: text that is not printable, has edge whitespace, starts
+    with ``"`` or ``[`` or spells ``none``/``true``/``false``, or a list with
+    an item holding ``;``."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return "none"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, list):  # a repeatable flag's values, or a list of results
-        return ";".join(value)
-    return str(value)
+    listed = isinstance(value, list)  # a repeatable flag's values, or a list of results
+    text = ";".join(value) if listed else str(value)
+    if (not text.isprintable() or text != text.strip() or text.startswith(('"', '['))
+            or text in ("none", "true", "false") or listed and any(";" in v for v in value)):
+        return json.dumps(value if listed else text)
+    return text
 
 
 # where a run writes is not part of what it computes: a replay picks its own
@@ -98,16 +106,6 @@ def _digests(args, *dests: str) -> list[tuple[str, str]]:
 def _write_manifest(pairs: list[tuple[str, object]], path) -> None:
     with atomic_write(path) as fh:
         fh.writelines(f"{key} = {_fmt(value)}\n" for key, value in pairs)
-
-
-def _refuse_line_breaks(args, *flags: str) -> None:
-    """A manifest holds one ``key = value`` per line: an echoed path or label
-    column with a line break would run onto the next, so refuse it first."""
-    for flag in flags:
-        path = getattr(args, flag.lstrip("-").replace("-", "_"))
-        if path is not None and "".join(path.splitlines()) != path:
-            raise UsageError(f"{flag} path {path!r} holds a line break, "
-                             "which the manifest cannot record")
 
 
 def _refuse_overwrites(inputs, artefacts) -> None:
@@ -236,7 +234,6 @@ def _dataset_flags(sub: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(args) -> int:
-    _refuse_line_breaks(args, "--out-dir")
     uniform = args.train_per_class is not None or args.test_per_class is not None
     if uniform and (args.train_per_class is None or args.test_per_class is None):
         raise UsageError("--train-per-class and --test-per-class go together")
@@ -284,7 +281,6 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- select
 
 def cmd_select(args) -> int:
-    _refuse_line_breaks(args, "train", "eval", "--holdout", "--label-column")
     paths = [args.train, args.eval] + ([args.holdout] if args.holdout else [])
     out_dir = Path(args.out_dir)
     trace_path, mask_path, summary_path = (
@@ -398,7 +394,6 @@ def _expand_pairs(pair_args: list[str], mask: Optional[FeatureMask],
 
 
 def cmd_project(args) -> int:
-    _refuse_line_breaks(args, "dataset", "--out", "--svg", "--label-column")
     data = _load(args.dataset, args)
     mask = _parse_mask(args.mask, data.feature_count) if args.mask else None
     pairs = _expand_pairs(args.pair, mask, data.feature_count) if args.pair else []
@@ -406,12 +401,12 @@ def cmd_project(args) -> int:
     manifest_path = out.with_suffix(".manifest.txt")
     if args.pair:
         svg = Path(args.svg) if args.svg else None
-        # (coordinates, SVG or None) per pair
+        # (coordinates, SVG or None) paths per view: one per pair, or the PCA view
         views = [(out.with_name(f"{out.stem}_pair_{a}_{b}{out.suffix or '.csv'}"),
                   svg and svg.with_name(f"{svg.stem}_pair_{a}_{b}{svg.suffix or '.svg'}"))
                  for a, b in pairs]
     else:
-        views = [(out, args.svg)]
+        views = [(out, args.svg)]  # --svg echoed in outputs as given
     # a parsed --mask that names a file was read from it
     mask_file = [args.mask] if mask and _names_a_file(args.mask) else []
     _refuse_overwrites([args.dataset] + mask_file,
@@ -423,33 +418,24 @@ def cmd_project(args) -> int:
         ("samples", data.n_samples),
         ("features", data.feature_count),
     ]
-    outputs: list[str] = []
-
+    # (coordinates, CSV columns, SVG axis labels) per view
     if args.pair:
-        for (a, b), (pair_out, svg_out) in zip(pairs, views):
-            coords = data.features[:, [a, b]]
-            _write_coords(pair_out, ["sample_index", "label_name", f"f{a}", f"f{b}"],
-                          coords, data.classes, data.labels)
-            outputs.append(str(pair_out))
-            if svg_out:
-                write_svg_scatter(svg_out, coords, data.labels, data.classes,
-                                  x_label=f"feature {a}", y_label=f"feature {b}")
-                outputs.append(str(svg_out))
         manifest.append(("pairs", [f"{a},{b}" for a, b in pairs]))
+        axes = [(data.features[:, [a, b]], [f"f{a}", f"f{b}"], (f"feature {a}", f"feature {b}"))
+                for a, b in pairs]
     else:
         model = fit_pca2(data, mask)
-        coords = project_rows(model, data.features)
-        _write_coords(out, ["sample_index", "label_name", "pc1", "pc2"],
+        manifest += [("eigenvalue1", model.eigenvalue1), ("eigenvalue2", model.eigenvalue2)]
+        axes = [(project_rows(model, data.features), ["pc1", "pc2"], ("pc1", "pc2"))]
+    outputs: list[str] = []
+    for (coords_out, svg_out), (coords, columns, (x_label, y_label)) in zip(views, axes):
+        _write_coords(coords_out, ["sample_index", "label_name"] + columns,
                       coords, data.classes, data.labels)
-        outputs.append(str(out))
-        if args.svg:
-            write_svg_scatter(args.svg, coords, data.labels, data.classes,
-                              x_label="pc1", y_label="pc2")
-            outputs.append(str(args.svg))
-        manifest += [
-            ("eigenvalue1", model.eigenvalue1),
-            ("eigenvalue2", model.eigenvalue2),
-        ]
+        outputs.append(str(coords_out))
+        if svg_out:
+            write_svg_scatter(svg_out, coords, data.labels, data.classes,
+                              x_label=x_label, y_label=y_label)
+            outputs.append(str(svg_out))
 
     manifest.append(("outputs", outputs))
     _write_manifest(manifest, manifest_path)

@@ -5,6 +5,7 @@ import collections
 import csv
 import hashlib
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -37,11 +38,27 @@ def data_dir(tmp_path):
     return out
 
 
+def manifest_value(text):
+    """The README's reading of a manifest value: no value has edge whitespace,
+    so it is stripped; then JSON when it starts with ``"`` or ``[``, None for
+    the bare ``none``, else the text itself."""
+    text = text.strip()
+    if text.startswith(('"', '[')):
+        return json.loads(text)
+    return None if text == "none" else text
+
+
+def manifest_items(value):
+    """The items of a list value (``pair``, ``pairs``, ``outputs``): a JSON
+    array as it is, plain text split on ``;``."""
+    return value if isinstance(value, list) else value.split(";")
+
+
 def read_manifest(path):
     pairs = {}
-    for line in path.read_text().splitlines():
+    for line in path.read_text(encoding="utf-8").splitlines():
         key, _, value = line.partition(" = ")
-        pairs[key] = value
+        pairs[key] = manifest_value(value)
     return pairs
 
 
@@ -772,33 +789,36 @@ def replay_argv(manifest):
             continue
         assert action.dest in manifest, f"{action.dest} is not in the manifest"
         value, flag = manifest[action.dest], action.option_strings[:1]
-        if value == "none":
+        if value is None:
             continue
         if not flag:
             argv.append(value)
         elif isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
             argv += flag if value != cli._fmt(action.default) else []
         elif isinstance(action, argparse._AppendAction):
-            for item in value.split(";"):
+            for item in manifest_items(value):
                 argv += flag + [item]
         else:
             argv += flag + [value]
     return argv
 
 
-def assert_replays(tmp_path, argv, outputs, manifest_name):
+def assert_replays(tmp_path, argv, outputs, manifest_name, runs=("first", "second")):
     """Run ``argv`` with the output flags ``outputs(directory)`` into one fresh
-    directory, check the input digests its manifest records, then run the argv
-    rebuilt from that manifest into another. Every artefact must be the same
-    bytes, and so must the manifest less its output paths. Returns the first
-    manifest."""
-    first, second = tmp_path / "first", tmp_path / "second"
+    directory, check the input digests and output paths its manifest records,
+    then run the argv rebuilt from that manifest into another. Every artefact
+    must be the same bytes, and so must the manifest less its output paths.
+    ``runs`` names the two directories. Returns the first manifest."""
+    first, second = (tmp_path / name for name in runs)
     assert cli.main(argv + outputs(first)) == 0
     manifest = read_manifest(first / manifest_name)
     for key, digest in manifest.items():
         if key.endswith("_sha256"):
             source = Path(manifest[key.removesuffix("_sha256")])
             assert hashlib.sha256(source.read_bytes()).hexdigest() == digest, key
+    written = [manifest[key] for key in ("train_file", "test_file") if key in manifest]
+    for path in written + manifest_items(manifest.get("outputs", [])):
+        assert Path(path).parent == first and Path(path).is_file(), path
     assert cli.main(replay_argv(manifest) + outputs(second)) == 0
     names = sorted(path.name for path in first.iterdir())
     assert names == sorted(path.name for path in second.iterdir())
@@ -1004,6 +1024,41 @@ def test_mask_text_forms_parse_back_to_the_same_mask(mask):
         assert cli._parse_mask(text, mask.length) == mask
 
 
+def written_plain(value):
+    """The README's plain rule: text that is printable, has no edge
+    whitespace, starts with neither ``"`` nor ``[`` and spells none of
+    ``none``/``true``/``false``, or a list of items holding no ``;`` whose
+    ``;``-join is such text."""
+    text = ";".join(value) if isinstance(value, list) else value
+    return (text.isprintable() and text == text.strip() and not text.startswith(('"', '['))
+            and text not in ("none", "true", "false")
+            and not (isinstance(value, list) and any(";" in item for item in value)))
+
+
+@settings(derandomize=True, database=None)
+@example("a\nb")
+@example(" sp/train.csv")
+@example("none")
+@example("[x")
+@example("\u2028")
+@example("x\udcff")  # a non-UTF-8 byte in a POSIX path, as os.fsdecode reads it
+@example(["o;x.csv", "p;q.svg"])
+@example(["none"])
+@example([""])
+@given(st.text() | st.lists(st.text(), min_size=1))
+def test_a_manifest_line_reads_back_as_its_value(value):
+    lines = f"key = {cli._fmt(value)}\n".splitlines()
+    assert len(lines) == 1
+    lines[0].encode("utf-8")  # as the manifest file is written
+    text = lines[0].partition(" = ")[2]
+    read = manifest_value(text)
+    assert (manifest_items(read) if isinstance(value, list) else read) == value
+    if written_plain(value):
+        assert text == (";".join(value) if isinstance(value, list) else value)
+    else:
+        assert text == json.dumps(value)
+
+
 def test_bad_flag_values_are_usage_errors(data_dir, tmp_path, capsys):
     # checked once after loading, before any work: the training set has 24 rows
     train, test = str(data_dir / "train.csv"), str(data_dir / "test.csv")
@@ -1037,45 +1092,64 @@ def test_feature_count_mismatch_is_a_data_error_before_any_work(data_dir, tmp_pa
 
 @pytest.mark.parametrize("flag", ["train", "eval", "--holdout", "dataset", "--label-column"])
 def test_input_path_with_a_line_break_is_a_usage_error_before_any_work(
-        data_dir, tmp_path, capsys, flag):
-    # a manifest holds one `key = value` per line, so such a path, or label
-    # column, would spill its echo onto a second line that no longer parses
-    # or replays
-    odd = tmp_path / "tr\nain.csv"
-    odd.write_bytes((data_dir / "train.csv").read_bytes())
-    paths = {"train": data_dir / "train.csv", "eval": data_dir / "test.csv",
-             "--holdout": data_dir / "test.csv", "dataset": data_dir / "train.csv", flag: odd}
-    run, coords = tmp_path / "run", tmp_path / "viz" / "coords.csv"
-    select = ["select", str(paths["train"]), str(paths["eval"]),
-              "--holdout", str(paths["--holdout"]), "--out-dir", str(run)] + SELECT_FLAGS
-    project = ["project", str(paths["dataset"]), "--out", str(coords)]
-    if flag == "--label-column":
-        argvs = [argv + ["--label-column", "a\nb"] for argv in (select, project)]
-    else:
-        argvs = [project if flag == "dataset" else select]
-    for argv in argvs:
-        assert cli.main(argv) == 2
-        assert f"usage error: {flag} path" in capsys.readouterr().err
-    assert not run.exists() and not coords.parent.exists()
+        data_dir, tmp_path, monkeypatch, capsys, flag):
+    # an echoed input path or label column that a plain `key = value` line
+    # cannot hold (a line break, edge spaces, a `;`, a name that reads as none
+    # or true) is written as JSON: it reads back as itself, and the run
+    # replays from its manifest
+    odd = {"train": "tr\nain.csv", "eval": "none", "--holdout": " hold;out.csv ",
+           "dataset": "true", "--label-column": "none"}[flag]
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    monkeypatch.chdir(inputs)
+    for name in ("train", "test"):
+        text = (data_dir / f"{name}.csv").read_text()
+        if flag == "--label-column":
+            text = text.replace(",label\n", ",none\n", 1)
+        Path(f"{name}.csv").write_text(text)
+    paths = {"train": "train.csv", "eval": "test.csv", "--holdout": "test.csv",
+             "dataset": "train.csv"}
+    if flag in paths:
+        Path(odd).write_bytes(Path(paths[flag]).read_bytes())
+        paths[flag] = odd
+    label = ["--label-column", odd] if flag == "--label-column" else []
+    runs = []
+    if flag != "dataset":
+        runs.append((["select", paths["train"], paths["eval"], "--holdout", paths["--holdout"]]
+                     + SELECT_FLAGS + label, lambda d: ["--out-dir", str(d)], "summary.txt"))
+    if flag in ("dataset", "--label-column"):
+        runs.append((["project", paths["dataset"]] + label,
+                     lambda d: ["--out", str(d / "c.csv")], "c.manifest.txt"))
+    for argv, outputs, manifest_name in runs:
+        manifest = assert_replays(tmp_path, argv, outputs, manifest_name,
+                                  runs=(f"{argv[0]}1", f"{argv[0]}2"))
+        assert manifest[flag.lstrip("-").replace("-", "_")] == odd
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("flag", ["--out-dir", "--out", "--svg"])
 def test_output_path_with_a_line_break_is_a_usage_error_before_any_write(
         data_dir, tmp_path, capsys, flag):
     # synth echoes its out dir into the manifest's train_file and test_file,
-    # project its outputs into `outputs`
-    odd = str(tmp_path / "nl" / "a\nb")
+    # project its outputs into `outputs`: a line break, a `;` or a leading
+    # space there is written as JSON, so each output path reads back as
+    # itself (assert_replays finds every one) and the run replays
     if flag == "--out-dir":
-        argv = ["synth", "--out-dir", odd, "--classes", "2", "--features", "3",
-                "--informative", "1", "--train-per-class", "3", "--test-per-class", "2"]
+        argv = ["synth", "--classes", "2", "--features", "3", "--informative", "1",
+                "--train-per-class", "3", "--test-per-class", "2"]
+        manifest = assert_replays(tmp_path, argv, lambda d: ["--out-dir", str(d)],
+                                  "manifest.txt", runs=(" a;\nrun", " b;\nrun"))
+        assert manifest["train_file"] == str(tmp_path / " a;\nrun" / "train.csv")
     else:
-        paths = {"--out": str(tmp_path / "nl" / "coords.csv"),
-                 "--svg": str(tmp_path / "nl" / "scatter.svg"), flag: odd}
-        argv = ["project", str(data_dir / "train.csv"), "--out", paths["--out"],
-                "--svg", paths["--svg"]]
-    assert cli.main(argv) == 2
-    assert f"usage error: {flag} path" in capsys.readouterr().err
-    assert not (tmp_path / "nl").exists()
+        # `--out o;x.csv --svg p;q.svg` once read back as four outputs
+        names = {"--out": ["o;x.csv", "p;q.svg"], "--svg": ["c.csv", " sc;\natter.svg"]}[flag]
+        view = ["--pair", "1,4"] if flag == "--svg" else []
+        manifest = assert_replays(
+            tmp_path, ["project", str(data_dir / "train.csv")] + view,
+            lambda d: ["--out", str(d / names[0]), "--svg", str(d / names[1])],
+            Path(names[0]).stem + ".manifest.txt")
+        assert len(manifest["outputs"]) == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [
