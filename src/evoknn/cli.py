@@ -24,7 +24,6 @@ import os
 import re
 import sys
 import time
-import warnings
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -132,10 +131,14 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 def _from_args(cls, args, **parsed):
     """``cls`` from the ``args`` entries named after its fields, ``parsed`` in
-    place of text flags; an absent or None entry keeps the field's default."""
+    place of text flags; an absent or None entry keeps the field's default.
+    Every value comes from a flag, so a refused one is a usage error."""
     given = vars(args) | parsed
-    return cls(**{f.name: given[f.name] for f in fields(cls)
-                  if given.get(f.name) is not None})
+    try:
+        return cls(**{f.name: given[f.name] for f in fields(cls)
+                      if given.get(f.name) is not None})
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _load(path, args) -> Dataset:
@@ -159,21 +162,6 @@ def _load_problem(args, *paths, normalize: bool = False) -> list[Dataset]:
     if normalize:
         train, others, _ = normalize_minmax(train, others)
     return [train, *others]
-
-
-def _ga_config(args) -> tuple[GaConfig, list[str]]:
-    """GaConfig from ``args``; a bad value is a usage error.  Returns the
-    config and its warnings, echoed to stderr."""
-    with warnings.catch_warnings(record=True) as records:
-        warnings.simplefilter("always")
-        try:
-            cfg = _from_args(GaConfig, args)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-    caught = [str(r.message) for r in records]
-    for message in caught:
-        print(f"warning: {message}", file=sys.stderr)
-    return cfg, caught
 
 
 def _names_a_file(value: str) -> bool:
@@ -244,10 +232,10 @@ def cmd_synth(args) -> int:
                          + ": pool-split flags, unused with --train-per-class")
     # a per-class manifest echoes none for each pool-split flag: none applied
     pool = dict.fromkeys(POOL_DEFAULTS) if uniform else POOL_DEFAULTS | given
-    informative = _parse_int_list(args.informative, "--informative")
+    spec = _from_args(SynthSpec, args,
+                      informative=_parse_int_list(args.informative, "--informative"))
     try:
         # each value checked here comes from a flag: a refusal is a usage error
-        spec = _from_args(SynthSpec, args, informative=informative)
         if uniform:
             train, test = generate(spec)
         else:
@@ -289,7 +277,7 @@ def cmd_select(args) -> int:
     train, eval_set, *rest = _load_problem(args, *paths, normalize=args.normalize)
     holdout = rest[0] if rest else None
 
-    cfg, caught = _ga_config(args)
+    cfg = _from_args(GaConfig, args)
 
     started = time.perf_counter()
     best, trace, stopped = evolve(train, eval_set, cfg)
@@ -319,8 +307,6 @@ def cmd_select(args) -> int:
         ("selected_features", mask.to_index_string()),
         ("reduction_rate_percent", f"{100.0 * (length - best.nf) / length:.2f}"),
     ]
-    for message in caught:
-        manifest.append(("warnings", message))
     if holdout is not None:
         h_hits, h_rate, _ = recognition_rate(train, holdout, cfg.k, mask)
         manifest += [
@@ -448,7 +434,7 @@ def cmd_project(args) -> int:
 
 def cmd_oracle(args) -> int:
     train, eval_set = _load_problem(args, args.train, args.eval)
-    cfg, _ = _ga_config(args)
+    cfg = _from_args(GaConfig, args)
     best, scored = exhaustive_best(train, eval_set, cfg)
     print("command = oracle")
     print(f"alpha = {cfg.alpha!r}")

@@ -31,12 +31,6 @@ from evoknn.synth import SynthSpec, generate
 from oracles import exhaustive_oracle
 
 
-def quiet_config(**kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return GaConfig(**kwargs)
-
-
 def tiny_problem(seed=0):
     spec = SynthSpec(n_classes=3, n_features=6, informative=(1, 4),
                      class_separation=7.0, noise_sd=1.0,
@@ -47,7 +41,7 @@ def tiny_problem(seed=0):
 # ----------------------------------------------------------- config
 
 def test_config_defaults_match_reference_run():
-    cfg = quiet_config()
+    cfg = GaConfig()
     assert cfg.population_size == 50
     assert cfg.max_generations == 814
     assert cfg.crossover_prob == 1.0
@@ -56,15 +50,15 @@ def test_config_defaults_match_reference_run():
     assert cfg.seed == 12957
     assert cfg.k == 1
     assert cfg.flip_rate(117) == 1.0 / 117
-    assert quiet_config(per_bit_flip_rate=0.25).flip_rate(117) == 0.25
+    assert GaConfig(per_bit_flip_rate=0.25).flip_rate(117) == 0.25
 
 
 def test_config_warns_when_weights_do_not_sum_to_one():
-    with pytest.warns(UserWarning, match="alpha \\+ beta"):
-        GaConfig(alpha=0.6, beta=0.6)
+    # the fitness only ranks masks, so alpha + beta need not be 1: the
+    # paper's alpha = beta = 0.6 raises no warning
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no warning expected here
-        GaConfig(alpha=0.4, beta=0.6)
+        warnings.simplefilter("error")
+        GaConfig(alpha=0.6, beta=0.6)
 
 
 def test_config_validation():
@@ -85,14 +79,14 @@ def test_config_validation():
         dict(stop_on_fitness=float("nan")),
     ):
         with pytest.raises(ValueError):
-            quiet_config(**bad)
+            GaConfig(**bad)
 
 
 # ----------------------------------------------------------- fitness
 
 def test_fitness_is_alpha_hits_minus_beta_nf():
     train, test = tiny_problem()
-    cfg = quiet_config(alpha=0.5, beta=0.25, k=1)
+    cfg = GaConfig(alpha=0.5, beta=0.25, k=1)
     ch = FeatureMask(np.array([0, 1, 0, 0, 1, 0], dtype=bool))
     _, fit, hits, nf = fitness(ch, train, test, cfg)
     assert nf == 2
@@ -102,14 +96,14 @@ def test_fitness_is_alpha_hits_minus_beta_nf():
 def test_fitness_rejects_empty_chromosome():
     train, test = tiny_problem()
     with pytest.raises(ValueError):
-        fitness(FeatureMask(np.zeros(6, dtype=bool)), train, test, quiet_config())
+        fitness(FeatureMask(np.zeros(6, dtype=bool)), train, test, GaConfig())
 
 
 # ----------------------------------------------------------- operators
 
 def test_init_population_shapes_and_no_empty_masks():
     rng = np.random.default_rng(1)
-    pop = init_population(quiet_config(population_size=40), 12, rng)
+    pop = init_population(GaConfig(population_size=40), 12, rng)
     assert len(pop) == 40
     assert all(ch.length == 12 for ch in pop)
     assert all(ch.active_count >= 1 for ch in pop)
@@ -122,7 +116,7 @@ def test_tournament_selection_probabilities_are_exact():
         Individual(FeatureMask(np.array([0, 1, 0], dtype=bool)), 2.0, 0, 1),
         Individual(FeatureMask(np.array([0, 0, 1], dtype=bool)), 3.0, 0, 1),
     ]
-    cfg = quiet_config(population_size=3, tournament_size=2)
+    cfg = GaConfig(population_size=3, tournament_size=2)
     rng = np.random.default_rng(7)
     draws = 27000
     counts = [0, 0, 0]
@@ -151,7 +145,7 @@ def test_tournament_fitness_ties_go_to_the_lower_index():
         Individual(FeatureMask(np.array([0, 1], dtype=bool)), 5.0, 0, 1),
         Individual(FeatureMask(np.array([1, 1], dtype=bool)), 1.0, 0, 2),
     ]
-    cfg = quiet_config(population_size=3, tournament_size=2)
+    cfg = GaConfig(population_size=3, tournament_size=2)
     # equal fitness: the lower index wins whichever order it was drawn in
     assert tournament_select(pop, cfg, _FixedDraws([0, 1])) is pop[0]
     assert tournament_select(pop, cfg, _FixedDraws([1, 0])) is pop[0]
@@ -163,7 +157,7 @@ def test_tournament_fitness_ties_go_to_the_lower_index():
 def test_crossover_single_point_structure():
     a = FeatureMask(np.zeros(10, dtype=bool))
     b = FeatureMask(np.ones(10, dtype=bool))
-    cfg = quiet_config(crossover_prob=1.0)
+    cfg = GaConfig(crossover_prob=1.0)
     rng = np.random.default_rng(3)
     seen_cuts = set()
     for _ in range(200):
@@ -183,7 +177,7 @@ def test_crossover_single_point_structure():
 def test_crossover_disabled_returns_parents():
     a = FeatureMask(np.array([1, 0, 1], dtype=bool))
     b = FeatureMask(np.array([0, 1, 1], dtype=bool))
-    cfg = quiet_config(crossover_prob=0.0)
+    cfg = GaConfig(crossover_prob=0.0)
     rng = np.random.default_rng(5)
     for _ in range(20):
         c1, c2 = crossover(a, b, cfg, rng)
@@ -197,7 +191,7 @@ def test_mutation_mean_flip_count_is_one_bit():
     bits = base.bits.copy()
     bits[0] = True
     base = FeatureMask(bits)
-    cfg = quiet_config(mutation_prob=1.0)  # always mutate; default rate 1/L
+    cfg = GaConfig(mutation_prob=1.0)  # always mutate; default rate 1/L
     rng = np.random.default_rng(11)
     total_flips = 0
     trials = 6000
@@ -209,7 +203,7 @@ def test_mutation_mean_flip_count_is_one_bit():
 
 def test_mutation_probability_gate():
     base = FeatureMask(np.array([1, 0, 1, 0], dtype=bool))
-    never = quiet_config(mutation_prob=0.0)
+    never = GaConfig(mutation_prob=0.0)
     rng = np.random.default_rng(2)
     for _ in range(50):
         assert mutate(base, never, rng) == base
@@ -217,7 +211,7 @@ def test_mutation_probability_gate():
 
 def test_mutation_repairs_all_zero_results():
     base = FeatureMask(np.array([0, 0, 1, 0], dtype=bool))
-    cfg = quiet_config(mutation_prob=1.0, per_bit_flip_rate=1.0)
+    cfg = GaConfig(mutation_prob=1.0, per_bit_flip_rate=1.0)
     rng = np.random.default_rng(4)
     for _ in range(100):
         child = mutate(base, cfg, rng)  # flips every bit -> 1110 .. never empty
@@ -226,8 +220,8 @@ def test_mutation_repairs_all_zero_results():
 
 def test_mutation_repair_from_certain_extinction():
     base = FeatureMask(np.array([1], dtype=bool))
-    cfg = quiet_config(population_size=2, elite_count=0, tournament_size=2,
-                       mutation_prob=1.0, per_bit_flip_rate=1.0)
+    cfg = GaConfig(population_size=2, elite_count=0, tournament_size=2,
+                   mutation_prob=1.0, per_bit_flip_rate=1.0)
     rng = np.random.default_rng(4)
     for _ in range(50):
         assert mutate(base, cfg, rng).active_count == 1
@@ -237,8 +231,8 @@ def test_breeding_repairs_empty_crossover_children():
     """Crossover of sparse parents can cut to an all-zero child; with the
     mutation gate closed the loop must still never evaluate an empty mask."""
     train, test = tiny_problem(seed=9)
-    cfg = quiet_config(population_size=10, max_generations=50, seed=13,
-                       crossover_prob=1.0, mutation_prob=0.0)
+    cfg = GaConfig(population_size=10, max_generations=50, seed=13,
+                   crossover_prob=1.0, mutation_prob=0.0)
     best, trace, _ = evolve(train, test, cfg)
     assert best.nf >= 1
     assert all(s.best_mask.active_count >= 1 for s in trace)
@@ -248,20 +242,20 @@ def test_breeding_repairs_empty_crossover_children():
 
 def test_evolve_is_deterministic_for_a_seed():
     train, test = tiny_problem()
-    cfg = quiet_config(population_size=12, max_generations=15, seed=99)
+    cfg = GaConfig(population_size=12, max_generations=15, seed=99)
     best1, trace1, _ = evolve(train, test, cfg)
     best2, trace2, _ = evolve(train, test, cfg)
     assert best1 == best2
     assert trace1 == trace2
 
-    other = quiet_config(population_size=12, max_generations=15, seed=100)
+    other = GaConfig(population_size=12, max_generations=15, seed=100)
     _, trace3, _ = evolve(train, test, other)
     assert trace3 != trace1
 
 
 def test_trace_covers_every_generation_and_stops_on_budget():
     train, test = tiny_problem()
-    cfg = quiet_config(population_size=8, max_generations=7, seed=1)
+    cfg = GaConfig(population_size=8, max_generations=7, seed=1)
     _, trace, stopped_by = evolve(train, test, cfg)
     assert [s.generation for s in trace] == list(range(8))
     assert stopped_by == "generation_budget"
@@ -269,7 +263,7 @@ def test_trace_covers_every_generation_and_stops_on_budget():
 
 def test_zero_generation_budget_still_evaluates_the_initial_population():
     train, test = tiny_problem()
-    cfg = quiet_config(population_size=8, max_generations=0, seed=1)
+    cfg = GaConfig(population_size=8, max_generations=0, seed=1)
     best, trace, _ = evolve(train, test, cfg)
     assert len(trace) == 1
     assert best.fitness == trace[0].best_fitness
@@ -277,20 +271,36 @@ def test_zero_generation_budget_still_evaluates_the_initial_population():
 
 def test_stop_on_fitness_halts_early():
     train, test = tiny_problem()
-    slow = quiet_config(population_size=10, max_generations=60, seed=2)
+    slow = GaConfig(population_size=10, max_generations=60, seed=2)
     _, full_trace, _ = evolve(train, test, slow)
     target = full_trace[0].best_fitness  # already reached at generation 0
-    eager = quiet_config(population_size=10, max_generations=60, seed=2,
-                         stop_on_fitness=target)
+    eager = GaConfig(population_size=10, max_generations=60, seed=2,
+                     stop_on_fitness=target)
     _, trace, stopped_by = evolve(train, test, eager)
     assert len(trace) == 1
     assert stopped_by == "target_fitness"
 
 
+def test_stop_on_fitness_is_compared_exactly_as_a_float():
+    # the optimum is {1, 4} at 9/9 hits: 0.6 * 9 - 0.6 * 2 is 4.199999999999999,
+    # so its repr fires the stop and the decimal 4.2 is never reached
+    train, test = tiny_problem(seed=2)
+    best, _ = exhaustive_best(train, test, GaConfig())
+    assert (best.mask.to_index_string(), best.hits, best.nf) == ("1,4", 9, 2)
+    target = repr(0.6 * 9 - 0.6 * 2)
+    assert target == "4.199999999999999" == repr(best.fitness)
+    for text, stop in ((target, "target_fitness"), ("4.2", "generation_budget")):
+        cfg = GaConfig(population_size=10, max_generations=30, seed=1,
+                       stop_on_fitness=float(text))
+        found, trace, stopped_by = evolve(train, test, cfg)
+        assert (stopped_by, found) == (stop, best), text
+    assert len(trace) == 31  # the decimal target ran out the 30-generation budget
+
+
 def test_stall_stop_triggers_after_no_improvement():
     train, test = tiny_problem()
-    cfg = quiet_config(population_size=10, max_generations=500, seed=3,
-                       stall_generations=12)
+    cfg = GaConfig(population_size=10, max_generations=500, seed=3,
+                   stall_generations=12)
     best, trace, stopped_by = evolve(train, test, cfg)
     assert len(trace) - 1 < 500
     assert stopped_by == "stalled"
@@ -304,7 +314,7 @@ def test_stall_reached_at_the_budget_generation_reports_stalled():
     # the stall count reaches 3 exactly at the 3-generation budget
     train, test = generate(SynthSpec(n_classes=3, n_features=4, informative=(0,),
                                      train_per_class=5, test_per_class=3, seed=0))
-    cfg = quiet_config(alpha=0.5, beta=0.5, max_generations=3, stall_generations=3)
+    cfg = GaConfig(alpha=0.5, beta=0.5, max_generations=3, stall_generations=3)
     _, trace, stopped_by = evolve(train, test, cfg)
     assert len(trace) == 4
     assert all(s.best_fitness == trace[0].best_fitness for s in trace)
@@ -313,8 +323,8 @@ def test_stall_reached_at_the_budget_generation_reports_stalled():
 
 def test_elitism_keeps_best_fitness_non_decreasing():
     train, test = tiny_problem(seed=8)
-    cfg = quiet_config(population_size=14, max_generations=40, seed=21,
-                       elite_count=2)
+    cfg = GaConfig(population_size=14, max_generations=40, seed=21,
+                   elite_count=2)
     _, trace, _ = evolve(train, test, cfg)
     values = [s.best_fitness for s in trace]
     assert all(b >= a for a, b in zip(values, values[1:]))
@@ -322,7 +332,7 @@ def test_elitism_keeps_best_fitness_non_decreasing():
 
 def test_on_generation_callback_sees_the_trace():
     train, test = tiny_problem()
-    cfg = quiet_config(population_size=8, max_generations=5, seed=1)
+    cfg = GaConfig(population_size=8, max_generations=5, seed=1)
     seen = []
     _, trace, _ = evolve(train, test, cfg, on_generation=seen.append)
     assert seen == trace
@@ -332,15 +342,15 @@ def test_best_ever_can_precede_the_final_generation():
     # without elitism the population can lose its best; the returned
     # individual must still be the best ever evaluated
     train, test = tiny_problem(seed=4)
-    cfg = quiet_config(population_size=6, max_generations=30, seed=17,
-                       elite_count=0)
+    cfg = GaConfig(population_size=6, max_generations=30, seed=17,
+                   elite_count=0)
     best, trace, _ = evolve(train, test, cfg)
     assert best.fitness == max(s.best_fitness for s in trace)
 
 
 def test_write_trace_format(tmp_path):
     train, test = tiny_problem()
-    cfg = quiet_config(population_size=8, max_generations=3, seed=1)
+    cfg = GaConfig(population_size=8, max_generations=3, seed=1)
     _, trace, _ = evolve(train, test, cfg)
     path = tmp_path / "trace.csv"
     write_trace(trace, path)
@@ -361,7 +371,7 @@ def test_write_trace_format(tmp_path):
 
 def test_exhaustive_best_matches_pure_python_oracle():
     train, test = tiny_problem(seed=6)
-    cfg = quiet_config(alpha=0.5, beta=0.3, k=1)
+    cfg = GaConfig(alpha=0.5, beta=0.3, k=1)
     best, scored = exhaustive_best(train, test, cfg)
     mask, fit, hits, nf = best
     bits, ofit, ohits, onf = exhaustive_oracle(
@@ -381,7 +391,7 @@ def test_exhaustive_best_prefers_fewer_features_on_fitness_ties():
     # and the lexicographically smaller string breaks the remaining pair
     train = from_rows([[0.0, 0.0], [4.0, 4.0]], ["a", "b"])
     test = from_rows([[0.5, 0.5], [3.5, 3.5]], ["a", "b"])
-    cfg = quiet_config(alpha=1.0, beta=0.0, k=1)
+    cfg = GaConfig(alpha=1.0, beta=0.0, k=1)
     (mask, fit, hits, nf), scored = exhaustive_best(train, test, cfg)
     assert hits == 2 and nf == 1 and scored == 3
     assert mask.to_string() == "01"  # "01" < "10"
@@ -390,13 +400,13 @@ def test_exhaustive_best_prefers_fewer_features_on_fitness_ties():
 def test_exhaustive_guard_rejects_wide_problems():
     wider = from_rows([list(range(21)), list(range(21, 42))], ["a", "b"])
     with pytest.raises(ValueError, match="guard of 20"):
-        exhaustive_best(wider, wider, quiet_config())
+        exhaustive_best(wider, wider, GaConfig())
 
 
 def test_exhaustive_best_refuses_a_training_set_without_features():
     bare = Dataset(np.empty((2, 0)), [0, 1], ("a", "b"))
     with pytest.raises(ValueError, match="at least one feature"):
-        exhaustive_best(bare, bare, quiet_config())
+        exhaustive_best(bare, bare, GaConfig())
 
 
 @pytest.mark.parametrize("width", [5, 2])
@@ -407,7 +417,7 @@ def test_an_eval_set_of_another_width_is_refused_by_both_searches(width):
     test = from_rows([[0] * width, [5] * width], ["a", "b"])
     for search in (evolve, exhaustive_best):
         with pytest.raises(ValueError, match="training set's 3 features"):
-            search(train, test, quiet_config(population_size=4, max_generations=1))
+            search(train, test, GaConfig(population_size=4, max_generations=1))
 
 
 def block_budget(train, test, b):
@@ -446,7 +456,7 @@ def test_exhaustive_best_scores_every_subset_exactly_once(monkeypatch, b):
         return vote(block, *args)
 
     monkeypatch.setattr(knn, "_vote", counted_vote)
-    _, scored = exhaustive_best(train, test, quiet_config(alpha=0.5, beta=0.5))
+    _, scored = exhaustive_best(train, test, GaConfig(alpha=0.5, beta=0.5))
     masks = [mask.to_string() for mask, _ in log]
     assert scored == len(masks) == sum(rows) == 63
     assert sorted(masks) == [format(m, "06b") for m in range(1, 64)]
@@ -480,7 +490,7 @@ def test_exhaustive_best_matches_the_oracle_on_integer_grids(problem):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(knn, "D2_BUDGET", block_budget(train, test, b))
         for k in range(1, 6):
-            cfg = quiet_config(alpha=0.5, beta=0.3, k=k)
+            cfg = GaConfig(alpha=0.5, beta=0.3, k=k)
             (mask, fit, hits, nf), scored = exhaustive_best(train, test, cfg)
             want = exhaustive_oracle(
                 train.features.tolist(), train.labels.tolist(),
@@ -511,7 +521,7 @@ def test_every_subset_scores_as_score_does_on_a_noisy_problem(monkeypatch):
     masks = all_subsets(12)
     log = scored_by_fitness(monkeypatch)
     for k in (1, 2, 3, 5):
-        cfg = quiet_config(alpha=0.5, beta=0.5, k=k)
+        cfg = GaConfig(alpha=0.5, beta=0.5, k=k)
         log.clear()  # _score below calls the wrapped fitness too
         best, scored = exhaustive_best(train, test, cfg)
         got = dict(log)
@@ -533,7 +543,7 @@ def test_overflowing_distances_pick_the_same_best_mask_as_score():
     classes = ("a", "b")
     train = Dataset(rows[:10], [classes.index(c) for c in labels[:10]], classes)
     test = Dataset(rows[10:], [classes.index(c) for c in labels[10:]], classes)
-    cfg = quiet_config(alpha=0.5, beta=0.5, k=3)
+    cfg = GaConfig(alpha=0.5, beta=0.5, k=3)
     with np.errstate(over="ignore"):
         assert np.isinf(np.square(np.subtract.outer(test.features[:, 0],
                                                     train.features[:, 0]))).any()
@@ -550,7 +560,7 @@ def test_exhaustive_best_on_the_oracle_bench_shape_allocates_under_1_5_mib():
     # not whenever a reference cycle holding it is collected.
     train, test = generate(SynthSpec(n_classes=6, n_features=14, informative=(1, 5, 9),
                                      class_separation=6.0, seed=12957))
-    cfg = quiet_config(alpha=0.5, beta=0.5, k=3)
+    cfg = GaConfig(alpha=0.5, beta=0.5, k=3)
     gc.collect()
     gc.disable()
     tracemalloc.start()
