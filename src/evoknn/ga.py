@@ -12,11 +12,14 @@ function of the mask, so each distinct mask is scored once per run.
 ``_score``, and ``exhaustive_best`` scores every subset; ``knn`` builds,
 budgets and votes the d2 blocks of both (``knn.mask_predictions`` and
 ``knn.subset_predictions``) and yields each mask with its row of
-predictions.  ``_scored`` is the one tail after that: ``fitness`` is called
-once per mask with its row, so counting hits is all that is left per mask,
-and returns the mask's one record, an ``Individual``, which ``evolve``'s
-cache and ``exhaustive_best`` keep.  That per-mask call stays while the
-benchmark's hooks count and time it, until they count the masks instead.
+predictions.  ``evolve`` fills one ``knn.term_table`` per run, when it fits
+``knn.TERM_BUDGET``, and ``_score`` passes it on, so each feature's term is
+computed once per run, not once per chunk of masks.  ``_scored`` is the one
+tail after that: ``fitness`` is called once per mask with its row, so
+counting hits is all that is left per mask, and returns the mask's one
+record, an ``Individual``, which ``evolve``'s cache and ``exhaustive_best``
+keep.  That per-mask call stays while the benchmark's hooks count and time
+it, until they count the masks instead.
 
 Draw order per run: population init (per mask: L uniform bit coins,
 plus one repair index if all bits came up 0), then per bred pair: parent A
@@ -38,7 +41,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .dataset import Dataset, atomic_write
-from .knn import FeatureMask, mask_predictions, recognition_rate, subset_predictions
+from .knn import (FeatureMask, mask_predictions, recognition_rate, subset_predictions,
+                  term_table)
 
 
 class Individual(NamedTuple):
@@ -160,10 +164,13 @@ def _scored(
 
 
 def _score(
-    masks: Iterable[FeatureMask], train: Dataset, eval_set: Dataset, cfg: GaConfig
+    masks: Iterable[FeatureMask], train: Dataset, eval_set: Dataset, cfg: GaConfig,
+    table: Optional[np.ndarray] = None,
 ) -> Iterator[Individual]:
-    """``fitness(mask, ...)`` for each of ``masks``, in order."""
-    return _scored(mask_predictions(train, eval_set, cfg.k, masks), train, eval_set, cfg)
+    """``fitness(mask, ...)`` for each of ``masks``, in order; ``table``, if
+    given, is ``knn.term_table(train, eval_set)``."""
+    pairs = mask_predictions(train, eval_set, cfg.k, masks, table=table)
+    return _scored(pairs, train, eval_set, cfg)
 
 
 def _repair(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -266,10 +273,11 @@ def evolve(
     length = train.feature_count
     rng = np.random.default_rng(cfg.seed)
     cache: dict[FeatureMask, Individual] = {}
+    table = term_table(train, eval_set)  # None above knn.TERM_BUDGET: terms per chunk
 
     def evaluate(masks: list[FeatureMask]) -> list[Individual]:
         fresh = dict.fromkeys(m for m in masks if m not in cache)
-        cache.update((ind.mask, ind) for ind in _score(fresh, train, eval_set, cfg))
+        cache.update((ind.mask, ind) for ind in _score(fresh, train, eval_set, cfg, table))
         return [cache[mask] for mask in masks]
 
     population = evaluate(init_population(cfg, length, rng))

@@ -13,10 +13,14 @@ vote it with one ``_vote`` call and yield each mask with its row of
 predicted classes:
 
 - ``mask_predictions`` scores a list of masks, ``_block_rows`` at a time, in
-  one feature-outer ``_d2`` pass each: every active feature's ``_term`` is
-  computed once and added into every mask that uses it.  A term is the
-  train column gathered once and broadcast down the query rows, minus the
-  query column, squared.
+  one feature-outer ``_d2`` pass each, adding every active feature's term
+  into every mask that uses it.  A term is the train column gathered once
+  and broadcast down the query rows, minus the query column, squared
+  (``_term``).  Given a ``term_table``, a (features x queries x train)
+  array of every feature's term filled once, the pass adds ``table[j]``;
+  without one it computes each term once per chunk into a scratch matrix.
+  The GA holds one table per run, when it fits ``TERM_BUDGET``; every
+  other caller scores without one, so its working set stays one block.
 - ``subset_predictions`` scores every non-empty subset by prefix extension
   (Narendra & Fukunaga, 1977).  The top ``b`` features, ``2**b`` rows, span
   one block; the low sets ``s`` are visited in ascending order, low feature
@@ -53,6 +57,7 @@ reject mode.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -63,6 +68,7 @@ from .dataset import Dataset
 REJECT = -1  # the predicted class in reject mode when no class wins the vote
 _RETIRED = np.iinfo(np.int64).max  # key of a picked neighbour in _vote
 D2_BUDGET = 1 << 20  # bytes of one d2 block: the summed distances held at once
+TERM_BUDGET = 16 << 20  # bytes of the largest term table a GA run holds
 
 
 @dataclass(frozen=True)
@@ -123,8 +129,8 @@ class FeatureMask:
 
 def _term(train: Dataset, queries: np.ndarray, j: int, out=None) -> np.ndarray:
     """Feature ``j``'s (queries x train) squared differences, into ``out`` if
-    given.  The one place this term is written: both ways of filling a d2
-    block add it, so their sums agree bit for bit.
+    given.  The one place this term is written: every way of filling a d2
+    block adds it, so their sums agree bit for bit.
 
     The train column is gathered once into row 0 and broadcast down, then
     the query column is subtracted in place: faster than
@@ -147,11 +153,30 @@ def _queries(train: Dataset, queries) -> np.ndarray:
     return queries
 
 
-def _d2(train: Dataset, queries, masks: Sequence[FeatureMask], out=None) -> np.ndarray:
+def term_table(train: Dataset, test: Dataset) -> Optional[np.ndarray]:
+    """Every feature's ``_term`` of ``test`` against ``train``: a read-only
+    (features x test x train) array, filled in place one feature at a time,
+    or None when it would take more than ``TERM_BUDGET`` bytes."""
+    queries = _queries(train, test.features)
+    shape = (train.feature_count, test.n_samples, train.n_samples)
+    if 8 * math.prod(shape) > TERM_BUDGET:
+        return None
+    table = np.empty(shape)
+    with np.errstate(over="ignore"):
+        for j in range(train.feature_count):
+            _term(train, queries, j, out=table[j])
+    table.setflags(write=False)
+    return table
+
+
+def _d2(
+    train: Dataset, queries, masks: Sequence[FeatureMask], out=None, table=None
+) -> np.ndarray:
     """(masks x queries x train) squared distances in one feature-outer pass.
 
     ``out``, if given, holds at least ``len(masks)`` such matrices and is
-    overwritten."""
+    overwritten.  ``table``, if given, is ``term_table``'s, and each term is
+    read from it instead of computed."""
     queries = _queries(train, queries)
     for mask in masks:
         if mask.length != train.feature_count:
@@ -163,7 +188,7 @@ def _d2(train: Dataset, queries, masks: Sequence[FeatureMask], out=None) -> np.n
     shape = (len(masks), queries.shape[0], train.n_samples)
     d2 = np.empty(shape) if out is None else out[: len(masks)]
     d2.fill(0.0)
-    term = np.empty(shape[1:])
+    scratch = np.empty(shape[1:]) if table is None else None
     # (feature, mask) pairs, feature-major
     features, owners = np.nonzero(np.stack([mask.bits for mask in masks]).T)
     rows = list(d2)  # one view per mask, built once: cheaper than d2[m] per add
@@ -171,7 +196,7 @@ def _d2(train: Dataset, queries, masks: Sequence[FeatureMask], out=None) -> np.n
     with np.errstate(over="ignore"):
         for j, m in zip(features.tolist(), owners.tolist()):
             if j != last:
-                _term(train, queries, j, out=term)
+                term = _term(train, queries, j, out=scratch) if table is None else table[j]
                 last = j
             rows[m] += term
     return d2
@@ -238,18 +263,19 @@ def _block_rows(train: Dataset, test: Dataset) -> int:
 
 def mask_predictions(
     train: Dataset, test: Dataset, k: int, masks: Iterable[FeatureMask],
-    reject_ties: bool = False,
+    reject_ties: bool = False, table: Optional[np.ndarray] = None,
 ) -> Iterator[tuple[FeatureMask, np.ndarray]]:
     """``(mask, predicted class per test sample)`` for each of ``masks``, in
     order.  Each chunk of ``_block_rows`` masks is one ``_d2`` pass into a
-    block allocated once per call, then one ``_vote``."""
+    block allocated once per call, then one ``_vote``.  ``table``, if given,
+    is ``term_table(train, test)``, which the passes read their terms from."""
     masks = iter(masks)
     width = _block_rows(train, test)
     block = None
     while chunk := list(itertools.islice(masks, width)):
         if block is None:
             block = np.empty((len(chunk), test.n_samples, train.n_samples))
-        d2 = _d2(train, test.features, chunk, out=block)
+        d2 = _d2(train, test.features, chunk, out=block, table=table)
         yield from zip(chunk, _vote(d2, train.labels, len(train.classes), k, reject_ties)[2])
 
 

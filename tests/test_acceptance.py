@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from evoknn import cli
-from evoknn.dataset import from_rows, split_random
+from evoknn.dataset import from_rows, load_csv, split_random, unify_vocabulary
 from evoknn.ga import GaConfig, evolve, exhaustive_best, fitness
 from evoknn.knn import FeatureMask, _d2, _vote, recognition_rate
 from evoknn.pca import fit_pca2
@@ -118,6 +118,37 @@ def test_planted_mask_recognises_every_sample_of_an_independent_draw():
         hits = [recognition_rate(train, fresh, 1, mask)[0]
                 for fresh in (fresh_train, fresh_eval)]
         assert hits == [187, 50], seed
+
+
+def test_at_separation_3_the_eval_rate_overstates_the_selected_mask(tmp_path, capsys):
+    """On a harder draw of the reference problem (``--separation 3``) the
+    eval set that the fitness maximised flatters the GA's pick.  Run with
+    ``--stall-generations 100``, the GA stops after 403 generations on 10
+    features that score 38/50 on eval but 111/187 (59.36%) on the training
+    split of an independent draw (``synth --seed 1``).  The planted
+    {70, 101, 112} scores only 28/50 on eval, yet 131/187 on the draw."""
+    for name, seed in (("data", 12957), ("fresh", 1)):
+        assert cli.main(["synth", "--out-dir", str(tmp_path / name), "--seed", str(seed),
+                         "--separation", "3"]) == 0
+    data, fresh, out = tmp_path / "data", tmp_path / "fresh", tmp_path / "run"
+    assert cli.main(["select", str(data / "train.csv"), str(data / "test.csv"),
+                     "--out-dir", str(out), "--stall-generations", "100",
+                     "--holdout", str(fresh / "train.csv")]) == 0
+    capsys.readouterr()
+    summary = dict(line.split(" = ", 1)
+                   for line in (out / "summary.txt").read_text().splitlines())
+    assert {key: summary[key] for key in (
+        "generations_run", "stopped_by", "selected_features", "final_recognition_hits",
+        "holdout_hits", "holdout_samples", "holdout_rate_percent")} == {
+        "generations_run": "403", "stopped_by": "stalled",
+        "selected_features": "15,25,29,38,41,60,70,101,103,112",
+        "final_recognition_hits": "38", "holdout_hits": "111", "holdout_samples": "187",
+        "holdout_rate_percent": "59.36"}
+    train, eval_set, draw = unify_vocabulary(
+        *(load_csv(path) for path in (data / "train.csv", data / "test.csv",
+                                      fresh / "train.csv")))
+    planted = FeatureMask.from_indices(PLANTED, train.feature_count)
+    assert [recognition_rate(train, s, 1, planted)[0] for s in (eval_set, draw)] == [28, 131]
 
 
 def test_ac3_ga_attains_exhaustive_optimum_on_small_problems():

@@ -231,12 +231,25 @@ def _assert_one_vote_per_chunk(seen, n_masks, queries, train):
     assert sum(widths) == n_masks
 
 
+def _record_terms(mp):
+    """Patch ``knn._term`` to log the feature index of each term computed."""
+    features, term = [], knn._term
+
+    def logged_term(train, queries, j, *args, **kwargs):
+        features.append(j)
+        return term(train, queries, j, *args, **kwargs)
+
+    mp.setattr(knn, "_term", logged_term)
+    return features
+
+
 @pytest.fixture(scope="module")
 def reference_run(tmp_path_factory):
     """The last (reference) run of GOLDEN_SELECT_RUNS, made once per module
     with every ``ga.fitness`` and ``ga.recognition_rate`` call counted by
-    name and number of positional arguments, and every ``knn._d2`` and
-    ``knn._vote`` call logged: (out dir, counts, chunk log)."""
+    name and number of positional arguments, every ``knn._d2`` and
+    ``knn._vote`` call logged and every ``knn._term`` feature logged:
+    (out dir, counts, chunk log, term log)."""
     calls = collections.Counter()
 
     def counted(name, func):
@@ -249,9 +262,10 @@ def reference_run(tmp_path_factory):
         for name in ("fitness", "recognition_rate"):
             mp.setattr(ga, name, counted(name, getattr(ga, name)))
         seen = _record_chunks(mp)
+        terms = _record_terms(mp)
         out = _synth_and_select(tmp_path_factory.mktemp("reference"),
                                 *GOLDEN_SELECT_RUNS[-1][:2])
-    return out, calls, seen
+    return out, calls, seen, terms
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +295,33 @@ def test_reference_select_scores_each_distinct_mask_once(reference_select):
 def test_reference_select_votes_each_scored_chunk_once(reference_run):
     # 4,760 fresh masks of the 187-row train set on the 50-row eval set
     _assert_one_vote_per_chunk(reference_run[2], 4760, 50, 187)
+
+
+def test_reference_select_computes_each_term_once(reference_run):
+    # the run's term table holds one term per feature, filled in order; the
+    # d2 passes read it and compute none
+    assert reference_run[3] == list(range(117))
+
+
+def test_reference_select_without_the_term_table_writes_the_same_bytes(
+        tmp_path, capsys, reference_run, monkeypatch):
+    # above TERM_BUDGET each chunk computes the terms its masks use, as
+    # before the table: 21,711 terms, the same chunks and the same artefacts
+    monkeypatch.setattr(knn, "TERM_BUDGET", 0)
+    seen = _record_chunks(monkeypatch)
+    terms = _record_terms(monkeypatch)
+    out = _synth_and_select(tmp_path, *GOLDEN_SELECT_RUNS[-1][:2])
+    capsys.readouterr()
+    assert len(terms) == 21711
+    assert seen == reference_run[2]
+    ref = reference_run[0]
+    for name in ("trace.csv", "best_mask.txt"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    # the summary names its own paths, and nothing else differs
+    summary = (ref / "summary.txt").read_text(encoding="utf-8")
+    assert str(ref.parent) in summary
+    assert ((out / "summary.txt").read_text(encoding="utf-8")
+            == summary.replace(str(ref.parent), str(tmp_path)))
 
 
 def test_select_every_ga_flag_reaches_the_summary(data_dir, tmp_path, capsys):
@@ -403,7 +444,7 @@ def test_select_stall_at_the_budget_reports_stalled(tmp_path, capsys):
     assert summary["stopped_by"] == "stalled"
 
 
-def test_select_warns_on_alpha_beta_sum(data_dir, tmp_path, capsys):
+def test_select_is_quiet_when_alpha_and_beta_do_not_sum_to_one(data_dir, tmp_path, capsys):
     # the paper's alpha = beta = 0.6 need not sum to 1: the fitness only
     # ranks masks, so the run writes nothing to stderr and no warnings key
     out = tmp_path / "quiet"

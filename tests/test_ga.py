@@ -53,7 +53,7 @@ def test_config_defaults_match_reference_run():
     assert GaConfig(per_bit_flip_rate=0.25).flip_rate(117) == 0.25
 
 
-def test_config_warns_when_weights_do_not_sum_to_one():
+def test_config_accepts_weights_that_do_not_sum_to_one_without_a_warning():
     # the fitness only ranks masks, so alpha + beta need not be 1: the
     # paper's alpha = beta = 0.6 raises no warning
     with warnings.catch_warnings():
@@ -534,8 +534,9 @@ def test_every_subset_scores_as_score_does_on_a_noisy_problem(monkeypatch):
             assert (digest, best.mask.to_string()) == NOISY_SUBSETS[k]
 
 
-def test_overflowing_distances_pick_the_same_best_mask_as_score():
-    # differences of +-1e200 square to +inf, which orders last in the vote
+def overflow_problem():
+    """Two classes on 6 features, three of them spread by about +-1e200, so
+    that their differences square to +inf, which orders last in the vote."""
     rng = np.random.default_rng(7)
     rows = rng.normal(size=(16, 6)) * np.array([1e200, 1.0, -1e200, 1.0, 1e200, 1.0])
     rows[:, 1] += np.repeat([0.0, 3.0], 8)
@@ -543,6 +544,11 @@ def test_overflowing_distances_pick_the_same_best_mask_as_score():
     classes = ("a", "b")
     train = Dataset(rows[:10], [classes.index(c) for c in labels[:10]], classes)
     test = Dataset(rows[10:], [classes.index(c) for c in labels[10:]], classes)
+    return train, test
+
+
+def test_overflowing_distances_pick_the_same_best_mask_as_score():
+    train, test = overflow_problem()
     cfg = GaConfig(alpha=0.5, beta=0.5, k=3)
     with np.errstate(over="ignore"):
         assert np.isinf(np.square(np.subtract.outer(test.features[:, 0],
@@ -551,6 +557,68 @@ def test_overflowing_distances_pick_the_same_best_mask_as_score():
     want = min(ga._score(all_subsets(6), train, test, cfg),
                key=lambda s: (-s.fitness, s.nf, s.mask.bits.tobytes()))
     assert best == want
+
+
+def assert_the_term_table_scores_bit_for_bit(train, test, k):
+    """Every subset's d2, predictions (plain and in reject mode), fitness and
+    hits read from ``knn.term_table`` equal those computed per chunk, as
+    int64 bit patterns."""
+    table = knn.term_table(train, test)
+    assert table.shape == (train.feature_count, test.n_samples, train.n_samples)
+    assert not table.flags.writeable
+    masks = all_subsets(train.feature_count)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(knn._d2(train, test.features, masks, table=table).view(np.int64),
+                              knn._d2(train, test.features, masks).view(np.int64))
+    for reject in (False, True):
+        rows = [np.stack([row for _, row in knn.mask_predictions(train, test, k, masks, reject,
+                                                                 table=t)]).astype(np.int64)
+                for t in (table, None)]
+        assert np.array_equal(*rows)
+    cfg = GaConfig(alpha=0.5, beta=0.3, k=k)
+    scores = [list(ga._score(masks, train, test, cfg, t)) for t in (table, None)]
+    assert [ind.mask for ind in scores[0]] == masks == [ind.mask for ind in scores[1]]
+    for name in ("fitness", "hits"):
+        with_table, without = (np.array([getattr(ind, name) for ind in scored])
+                               for scored in scores)
+        assert np.array_equal(with_table.view(np.int64), without.view(np.int64)), name
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(grid_oracle_problems())
+def test_the_term_table_scores_integer_grids_bit_for_bit(problem):
+    # exact squared distances with many ties, in chunks narrower than the
+    # subset count
+    train, test, b = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(knn, "D2_BUDGET", block_budget(train, test, b))
+        for k in range(1, 6):
+            assert_the_term_table_scores_bit_for_bit(train, test, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_the_term_table_scores_overflowing_distances_bit_for_bit(k):
+    train, test = overflow_problem()
+    assert np.isinf(knn.term_table(train, test)).any()
+    assert_the_term_table_scores_bit_for_bit(train, test, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_the_term_table_scores_a_noisy_problem_bit_for_bit(k):
+    # weak separation on 2 of 6 features: the noise features decide many votes
+    train, test = generate(SynthSpec(n_classes=5, n_features=6, informative=(1, 4),
+                                     class_separation=1.5, seed=4242))
+    assert_the_term_table_scores_bit_for_bit(train, test, k)
+
+
+def test_the_term_table_is_only_built_within_term_budget():
+    train, test = tiny_problem()
+    size = 8 * train.feature_count * test.n_samples * train.n_samples
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(knn, "TERM_BUDGET", size)
+        assert knn.term_table(train, test).nbytes == size
+        mp.setattr(knn, "TERM_BUDGET", size - 1)
+        assert knn.term_table(train, test) is None
 
 
 def test_exhaustive_best_on_the_oracle_bench_shape_allocates_under_1_5_mib():
