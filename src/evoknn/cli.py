@@ -16,7 +16,6 @@ field's default, so the library alone declares those parameters.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import hashlib
 import json
@@ -40,6 +39,7 @@ from .dataset import (
     split_random,
     unify_vocabulary,
     write_csv,
+    write_rows,
 )
 from .ga import GaConfig, evolve, exhaustive_best, write_trace
 from .knn import REJECT, FeatureMask, recognition_rate
@@ -348,14 +348,6 @@ def cmd_eval(args) -> int:
 
 # ---------------------------------------------------------------- project
 
-def _write_coords(path, header: list[str], rows, names, labels) -> None:
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for idx, (row, lab) in enumerate(zip(rows, labels)):
-            writer.writerow([idx, names[lab]] + [repr(float(v)) for v in row])
-
-
 def _expand_pairs(pair_args: list[str], mask: Optional[FeatureMask],
                   feature_count: int) -> list[tuple[int, int]]:
     pairs: list[tuple[int, int]] = []
@@ -415,8 +407,9 @@ def cmd_project(args) -> int:
         axes = [(project_rows(model, data.features), ["pc1", "pc2"], ("pc1", "pc2"))]
     outputs: list[str] = []
     for (coords_out, svg_out), (coords, columns, (x_label, y_label)) in zip(views, axes):
-        _write_coords(coords_out, ["sample_index", "label_name"] + columns,
-                      coords, data.classes, data.labels)
+        write_rows(coords_out, ["sample_index", "label_name"] + columns,
+                   ([idx, data.classes[lab]] + row for idx, (row, lab)
+                    in enumerate(zip(coords.tolist(), data.labels))))
         outputs.append(str(coords_out))
         if svg_out:
             write_svg_scatter(svg_out, coords, data.labels, data.classes,

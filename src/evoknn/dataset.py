@@ -1,6 +1,8 @@
 """Labelled tabular datasets: CSV loading, splitting, optional min-max scaling.
 
-Also home of ``atomic_write``, the one way evoknn writes a file.
+Also home of ``atomic_write``, the one way evoknn writes a file, and of
+``write_rows``, the one way it writes a CSV file: the datasets of
+``write_csv``, ``project``'s coordinates and ``ga.write_trace``'s trace.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -204,18 +206,28 @@ def atomic_write(path):
         raise
 
 
-def write_csv(d: Dataset, path) -> None:
-    """Write a dataset as CSV through ``atomic_write``: a header ``f0..f{n-1},
-    label``, then one row per sample, features then its class name.
+def write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV file through ``atomic_write``: ``header``, then ``rows``,
+    each line ended by ``\n``.
 
-    Float cells use ``repr`` so finite values round-trip exactly through
-    ``load_csv``; the csv module quotes names that hold a comma or a quote.
+    A float cell is written with ``float.__repr__``, so a finite value
+    round-trips exactly through ``load_csv`` and a numpy float prints as
+    Python's (``28.2``, not ``np.float64(28.2)``); any other cell with
+    ``str``.  The csv module quotes a cell that holds a comma or a quote.
     """
     with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"f{j}" for j in range(d.feature_count)] + ["label"])
-        for row, lab in zip(d.features, d.labels):
-            writer.writerow([repr(float(v)) for v in row] + [d.classes[lab]])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([float.__repr__(v) if isinstance(v, float) else str(v)
+                             for v in row])
+
+
+def write_csv(d: Dataset, path) -> None:
+    """Write a dataset as CSV: a header ``f0..f{n-1},label``, then one row per
+    sample, features then its class name."""
+    write_rows(path, [f"f{j}" for j in range(d.feature_count)] + ["label"],
+               (row + [d.classes[lab]] for row, lab in zip(d.features.tolist(), d.labels)))
 
 
 def split_random(

@@ -9,17 +9,18 @@ order.  Individuals are ``FeatureMask`` bit strings, and fitness is a pure
 function of the mask, so each distinct mask is scored once per run.
 
 ``evolve`` scores a generation's distinct uncached masks through
-``_score``, and ``exhaustive_best`` scores every subset; ``knn`` builds,
-budgets and votes the d2 blocks of both (``knn.mask_predictions`` and
-``knn.subset_predictions``) and yields each mask with its row of
-predictions.  ``evolve`` fills one ``knn.term_table`` per run, when it fits
-``knn.TERM_BUDGET``, and ``_score`` passes it on, so each feature's term is
-computed once per run, not once per chunk of masks.  ``_scored`` is the one
-tail after that: ``fitness`` is called once per mask with its row, so
-counting hits is all that is left per mask, and returns the mask's one
-record, an ``Individual``, which ``evolve``'s cache and ``exhaustive_best``
-keep.  That per-mask call stays while the benchmark's hooks count and time
-it, until they count the masks instead.
+``knn.mask_predictions``, and ``exhaustive_best`` scores every subset
+through ``knn.subset_predictions``; ``knn`` builds, budgets and votes the d2
+blocks of both and yields each mask with its row of predictions.
+``evolve`` fills one ``knn.term_table`` per run, when it fits
+``knn.TERM_BUDGET``, and passes it to ``mask_predictions``, so each
+feature's term is computed once per run, not once per chunk of masks.
+Both hand the pairs to ``_scored``, the one tail after that: ``fitness`` is
+called once per mask with its row, so counting hits is all that is left per
+mask, and returns the mask's one record, an ``Individual``, which
+``evolve``'s cache and ``exhaustive_best`` keep.  That per-mask call stays
+while the benchmark's hooks count and time it, until they count the masks
+instead.
 
 Draw order per run: population init (per mask: L uniform bit coins,
 plus one repair index if all bits came up 0), then per bred pair: parent A
@@ -40,7 +41,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .dataset import Dataset, atomic_write
+from .dataset import Dataset, write_rows
 from .knn import (FeatureMask, mask_predictions, recognition_rate, subset_predictions,
                   term_table)
 
@@ -163,16 +164,6 @@ def _scored(
         del row
 
 
-def _score(
-    masks: Iterable[FeatureMask], train: Dataset, eval_set: Dataset, cfg: GaConfig,
-    table: Optional[np.ndarray] = None,
-) -> Iterator[Individual]:
-    """``fitness(mask, ...)`` for each of ``masks``, in order; ``table``, if
-    given, is ``knn.term_table(train, eval_set)``."""
-    pairs = mask_predictions(train, eval_set, cfg.k, masks, table=table)
-    return _scored(pairs, train, eval_set, cfg)
-
-
 def _repair(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if not bits.any():
         bits[int(rng.integers(0, bits.size))] = True
@@ -277,7 +268,8 @@ def evolve(
 
     def evaluate(masks: list[FeatureMask]) -> list[Individual]:
         fresh = dict.fromkeys(m for m in masks if m not in cache)
-        cache.update((ind.mask, ind) for ind in _score(fresh, train, eval_set, cfg, table))
+        pairs = mask_predictions(train, eval_set, cfg.k, fresh, table=table)
+        cache.update((ind.mask, ind) for ind in _scored(pairs, train, eval_set, cfg))
         return [cache[mask] for mask in masks]
 
     population = evaluate(init_population(cfg, length, rng))
@@ -326,7 +318,8 @@ def exhaustive_best(
     Returns ``(best, scored)``, ``scored`` being the number of subsets
     evaluated.  Guarded to ``feature_count <= EXHAUSTIVE_GUARD``
     since the subset count doubles per feature.  Ties are broken by fewer
-    active features, then by the lexicographically smaller mask string.
+    active features, then by the lexicographically smaller mask string:
+    ``FeatureMask.key`` orders as the text does.
     """
     length = train.feature_count
     if length < 1:
@@ -340,9 +333,7 @@ def exhaustive_best(
     pairs = subset_predictions(train, eval_set, cfg.k)
     for ind in _scored(pairs, train, eval_set, cfg):
         scored += 1
-        # bool bytes order like the 0/1 text, so equal-length masks compare
-        # lexicographically
-        key = (-ind.fitness, ind.nf, ind.mask.bits.tobytes())
+        key = (-ind.fitness, ind.nf, ind.mask.key)
         if best is None or key < best_key:
             best, best_key = ind, key
     return best, scored
@@ -352,13 +343,8 @@ def write_trace(trace: list[GenerationStats], path) -> None:
     """Write the per-generation trace CSV: one column per ``GenerationStats``
     field, one row per generation.
 
-    Values are written with ``repr`` (a Python int's is its ``str``, and a
-    float's replays byte for byte), the mask as its 0/1 text.
+    Cells are written by ``dataset.write_rows``, the mask as its 0/1 text.
     """
-    lines = [",".join(TRACE_COLUMNS)]
-    for s in trace:
-        lines.append(",".join(
-            value.to_string() if isinstance(value, FeatureMask) else repr(value)
-            for value in (getattr(s, name) for name in TRACE_COLUMNS)))
-    with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_rows(path, TRACE_COLUMNS, (
+        [value.to_string() if isinstance(value, FeatureMask) else value
+         for value in (getattr(s, name) for name in TRACE_COLUMNS)] for s in trace))

@@ -30,9 +30,9 @@ predicted classes:
   ``r | 2**i`` of the block is row ``r`` plus high feature ``i``'s term.
   Terms are not kept, so what is held is the block and one prefix per level
   (keeping the high ones put the oracle bench's allocation peak over 1.5 MiB).
-  A block's masks are the rows of one fresh (``2**b`` x features) bit
-  matrix, the low set's bits broadcast beside the fixed high bits; each
-  ``FeatureMask`` holds a view of its row.
+  A block's masks are the rows of one (``2**b`` x features) bit matrix, the
+  low set's bits broadcast beside the fixed high bits; each ``FeatureMask``
+  copies its row into its key, so the matrix is reused.
 
 Either way each mask receives its terms in ascending feature order, so each
 distance is the plain left-to-right sum a scalar loop makes, bit for bit.
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -76,17 +76,22 @@ class FeatureMask:
     """Fixed-length bit string selecting which features enter the metric.
 
     Bit n corresponds to feature n; the leftmost character of the text form
-    is feature 0.
+    is feature 0.  ``key`` holds one 0/1 byte per feature, set once; equality
+    and hashing come from it, and at equal length key order is text order,
+    so ``(-fitness, nf, key)`` sorts ties by fewer features, then by the
+    smaller 0/1 text.  ``bits`` is a read-only bool view of ``key``.
     """
 
-    bits: np.ndarray
+    bits: np.ndarray = field(compare=False)
+    key: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
-        bits = np.ascontiguousarray(self.bits, dtype=bool)
+        bits = np.asarray(self.bits, dtype=bool)
         if bits.ndim != 1 or bits.size == 0:
             raise ValueError("mask must be a non-empty 1D bit string")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
+        key = bits.tobytes()
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "bits", np.frombuffer(key, dtype=bool))
 
     @classmethod
     def from_string(cls, text: str) -> "FeatureMask":
@@ -105,26 +110,20 @@ class FeatureMask:
 
     @property
     def length(self) -> int:
-        return self.bits.size
+        return len(self.key)
 
     @property
     def active_count(self) -> int:
-        return int(np.count_nonzero(self.bits))
+        return self.key.count(1)
 
     def active_indices(self) -> np.ndarray:
         return np.flatnonzero(self.bits)
 
     def to_string(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return self.key.translate(bytes.maketrans(b"\0\1", b"01")).decode("ascii")
 
     def to_index_string(self) -> str:
         return ",".join(str(i) for i in self.active_indices())
-
-    def __eq__(self, other):
-        return isinstance(other, FeatureMask) and np.array_equal(self.bits, other.bits)
-
-    def __hash__(self):
-        return hash(self.bits.tobytes())
 
 
 def _term(train: Dataset, queries: np.ndarray, j: int, out=None) -> np.ndarray:
@@ -183,7 +182,7 @@ def _d2(
             raise ValueError(
                 f"mask length {mask.length} does not match feature count {train.feature_count}"
             )
-        if not mask.bits.any():
+        if 1 not in mask.key:
             raise ValueError("mask has no active features")
     shape = (len(masks), queries.shape[0], train.n_samples)
     d2 = np.empty(shape) if out is None else out[: len(masks)]
@@ -290,7 +289,8 @@ def subset_predictions(
     b = min(length, _block_rows(train, test).bit_length() - 1)
     low = length - b
     low_shifts = np.arange(low - 1, -1, -1)
-    high_bits = (np.arange(1 << b)[:, None] >> np.arange(b) & 1).astype(bool)
+    bits = np.empty((1 << b, length), dtype=bool)
+    bits[:, low:] = np.arange(1 << b)[:, None] >> np.arange(b) & 1
     block = np.empty((1 << b, test.n_samples, train.n_samples))
     prefix = [0.0] * (low + 1)  # prefix[level]: d2 of the last low set at that level
     for s in range(1 << low):
@@ -304,10 +304,7 @@ def subset_predictions(
                 np.add(block[: 1 << i], _term(train, queries, low + i),
                        out=block[1 << i : 2 << i])
         first = 0 if s else 1  # the empty low set's row 0 is the empty mask
-        # fresh each block: every mask's bits are a view of its row
-        bits = np.empty((1 << b, length), dtype=bool)
         bits[:, :low] = s >> low_shifts & 1
-        bits[:, low:] = high_bits
         masks = [FeatureMask(row) for row in bits[first:]]
         yield from zip(masks, _vote(block[first:], train.labels, len(train.classes), k)[2])
 

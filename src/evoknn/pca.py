@@ -67,7 +67,8 @@ def fit_pca2(d: Dataset, mask: Optional[FeatureMask] = None) -> ProjectionModel:
 
     The covariance uses divisor n-1 over the active features only; the
     resulting axes are embedded back into full feature length with zeros on
-    inactive coordinates.
+    inactive coordinates.  Finite features whose covariance overflows a
+    double, such as +-1e300, are refused with a ValueError that says so.
     """
     if d.n_samples < 2:
         raise ValueError("PCA needs at least 2 samples")
@@ -81,8 +82,12 @@ def fit_pca2(d: Dataset, mask: Optional[FeatureMask] = None) -> ProjectionModel:
         raise ValueError("PCA needs at least 2 active features")
 
     x = d.features[:, indices]
-    centred = x - x.mean(axis=0)
-    cov = np.einsum("ki,kj->ij", centred, centred) / (d.n_samples - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        centred = x - x.mean(axis=0)
+        cov = np.einsum("ki,kj->ij", centred, centred) / (d.n_samples - 1)
+    if not np.isfinite(cov).all():
+        raise ValueError("the covariance of the active features overflows a double: "
+                         "the feature values are too large to project")
     values, vectors = np.linalg.eigh(cov)
     order = np.argsort(-values, kind="stable")[:2]
 

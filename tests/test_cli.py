@@ -5,6 +5,7 @@ import collections
 import csv
 import hashlib
 import inspect
+import io
 import json
 import os
 import re
@@ -20,8 +21,9 @@ from hypothesis import example, given, settings, strategies as st
 from evoknn import cli, ga, knn
 from evoknn.dataset import (atomic_write, from_rows, load_csv, split_random,
                             unify_vocabulary, write_csv)
-from evoknn.ga import GaConfig, exhaustive_best
+from evoknn.ga import TRACE_COLUMNS, GaConfig, GenerationStats, exhaustive_best, write_trace
 from evoknn.knn import FeatureMask, recognition_rate
+from evoknn.pca import fit_pca2, project_rows
 from evoknn.synth import SynthSpec, generate_pool
 
 
@@ -689,6 +691,68 @@ def test_project_coords_csv_quotes_class_names(tmp_path, capsys):
     assert rows[0] == ["sample_index", "label_name", "pc1", "pc2"]
     assert [len(row) for row in rows] == [4] * 5
     assert [row[1] for row in rows[1:]] == names + ["plain"]
+
+
+def _csv_bytes(header, rows):
+    """The bytes of a CSV file built apart from ``dataset.write_rows``: each
+    float cell, numpy's included, as ``repr`` of a Python float, and the csv
+    module's quoting."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                         for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def test_synth_and_project_csvs_match_an_independent_formatter(reference_select, tmp_path,
+                                                               capsys):
+    out = reference_select[0]
+    train_path = out.parent / "data" / "train.csv"
+    train = load_csv(train_path)
+    assert train_path.read_bytes() == _csv_bytes(
+        [f"f{j}" for j in range(train.feature_count)] + ["label"],
+        [[*row, train.classes[lab]] for row, lab in zip(train.features, train.labels)])
+    coords = tmp_path / "coords.csv"
+    assert cli.main(["project", str(train_path), "--mask", str(out / "best_mask.txt"),
+                     "--out", str(coords)]) == 0
+    capsys.readouterr()
+    mask = FeatureMask.from_string((out / "best_mask.txt").read_text().strip())
+    xy = project_rows(fit_pca2(train, mask), train.features)  # rows of np.float64
+    assert coords.read_bytes() == _csv_bytes(
+        ["sample_index", "label_name", "pc1", "pc2"],
+        [[idx, train.classes[lab], *row] for idx, (row, lab) in enumerate(zip(xy, train.labels))])
+
+
+def test_trace_and_quoted_names_match_an_independent_formatter(tmp_path):
+    # a numpy float in the trace is written as Python's repr, 28.2
+    stats = [GenerationStats(0, np.float64(28.2), 25.799999999999997, -0.6, 3, 50,
+                             FeatureMask.from_string("0110")),
+             GenerationStats(1, 28.8, np.float64(0.1), np.float64(-1e300), 2, 51,
+                             FeatureMask.from_string("1001"))]
+    write_trace(stats, tmp_path / "trace.csv")
+    got = (tmp_path / "trace.csv").read_bytes()
+    assert got == _csv_bytes(TRACE_COLUMNS, [
+        [getattr(s, name) for name in TRACE_COLUMNS[:-1]] + [s.best_mask.to_string()]
+        for s in stats])
+    assert got.splitlines()[1] == b"0,28.2,25.799999999999997,-0.6,3,50,0110"
+    names = ["gran, grey", 'say "hi"', "plain"]
+    data = from_rows([[0.5, -0.0], [1e-310, 2.0], [np.float64(3.25), 4.0]], names)
+    write_csv(data, tmp_path / "data.csv")
+    assert (tmp_path / "data.csv").read_bytes() == _csv_bytes(
+        ["f0", "f1", "label"], [[*row, name] for row, name in zip(data.features, names)])
+
+
+def test_project_names_a_covariance_overflow(tmp_path, capsys):
+    # finite values whose covariance is past the largest double: a data error
+    # that says so, before any artefact is written
+    data = tmp_path / "big.csv"
+    data.write_text("a,b,label\n1e300,-1e300,x\n-1e300,1e300,y\n1e300,1e300,x\n")
+    assert cli.main(["project", str(data), "--out", str(tmp_path / "c.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "overflows" in err and "eigenvalue" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv"]
 
 
 def _temp_files(directory):

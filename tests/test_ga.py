@@ -522,11 +522,12 @@ def test_every_subset_scores_as_score_does_on_a_noisy_problem(monkeypatch):
     log = scored_by_fitness(monkeypatch)
     for k in (1, 2, 3, 5):
         cfg = GaConfig(alpha=0.5, beta=0.5, k=k)
-        log.clear()  # _score below calls the wrapped fitness too
+        log.clear()  # _scored below calls the wrapped fitness too
         best, scored = exhaustive_best(train, test, cfg)
         got = dict(log)
         assert scored == len(got) == 4095
-        assert got == {ind.mask: ind for ind in ga._score(masks, train, test, cfg)}
+        pairs = knn.mask_predictions(train, test, k, masks)
+        assert got == {ind.mask: ind for ind in ga._scored(pairs, train, test, cfg)}
         if k in NOISY_SUBSETS:
             lines = sorted(f"{mask.to_string()},{fit!r},{hits},{nf}\n"
                            for mask, fit, hits, nf in got.values())
@@ -554,7 +555,8 @@ def test_overflowing_distances_pick_the_same_best_mask_as_score():
         assert np.isinf(np.square(np.subtract.outer(test.features[:, 0],
                                                     train.features[:, 0]))).any()
     best, _ = exhaustive_best(train, test, cfg)
-    want = min(ga._score(all_subsets(6), train, test, cfg),
+    pairs = knn.mask_predictions(train, test, cfg.k, all_subsets(6))
+    want = min(ga._scored(pairs, train, test, cfg),
                key=lambda s: (-s.fitness, s.nf, s.mask.bits.tobytes()))
     assert best == want
 
@@ -576,7 +578,8 @@ def assert_the_term_table_scores_bit_for_bit(train, test, k):
                 for t in (table, None)]
         assert np.array_equal(*rows)
     cfg = GaConfig(alpha=0.5, beta=0.3, k=k)
-    scores = [list(ga._score(masks, train, test, cfg, t)) for t in (table, None)]
+    scores = [list(ga._scored(knn.mask_predictions(train, test, k, masks, table=t),
+                              train, test, cfg)) for t in (table, None)]
     assert [ind.mask for ind in scores[0]] == masks == [ind.mask for ind in scores[1]]
     for name in ("fitness", "hits"):
         with_table, without = (np.array([getattr(ind, name) for ind in scored])

@@ -45,6 +45,39 @@ def test_mask_equality_and_hash():
     assert len({a, b, c}) == 2
 
 
+@st.composite
+def mask_text_pairs(draw):
+    """Two 0/1 texts, equal, of one length, or of any two lengths."""
+    text = st.text(alphabet="01", min_size=1, max_size=12)
+    a = draw(text)
+    b = draw(st.one_of(st.just(a), st.text(alphabet="01", min_size=len(a),
+                                           max_size=len(a)), text))
+    return a, b
+
+
+@settings(derandomize=True, database=None)
+@given(mask_text_pairs())
+def test_mask_key_is_its_text_in_bytes(pair):
+    a, b = pair
+    ma, mb = FeatureMask.from_string(a), FeatureMask.from_string(b)
+    assert (ma == mb) == (a == b)
+    assert (hash(ma) == hash(mb)) == (a == b)
+    if len(a) == len(b):
+        assert (ma.key < mb.key) == (a < b)
+    for mask, text in ((ma, a), (mb, b)):
+        bits = [c == "1" for c in text]
+        assert mask.key == bytes(bits)
+        assert mask.bits.tolist() == bits and mask.bits.tobytes() == mask.key
+        assert not mask.bits.flags.writeable
+        with pytest.raises(ValueError):
+            mask.bits[0] = True
+        indices = [i for i, bit in enumerate(bits) if bit]
+        assert (FeatureMask.from_indices(indices, len(text)) == FeatureMask(np.array(bits))
+                == FeatureMask(np.array(bits, dtype=np.uint8)) == mask)
+        assert (mask.to_string(), mask.length, mask.active_count) == (
+            text, len(text), len(indices))
+
+
 def test_mask_rejects_bad_input():
     with pytest.raises(ValueError):
         FeatureMask.from_string("01x1")
@@ -457,7 +490,7 @@ def reference_pair(tmp_path_factory):
 
 
 def scored_at_widths(masks, train, test, cfg):
-    """``ga._score``'s output at chunk widths 1, 2 and more than len(masks),
+    """``ga._scored``'s output at chunk widths 1, 2 and more than len(masks),
     then at a budget below one d2 matrix, which floors the width at 1."""
     matrix = 8 * test.n_samples * train.n_samples
     runs = []
@@ -465,7 +498,8 @@ def scored_at_widths(masks, train, test, cfg):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(knn, "D2_BUDGET", budget)
             assert knn._block_rows(train, test) == width
-            runs.append(list(ga._score(masks, train, test, cfg)))
+            pairs = mask_predictions(train, test, cfg.k, masks)
+            runs.append(list(ga._scored(pairs, train, test, cfg)))
     return runs
 
 
@@ -555,7 +589,7 @@ def test_scoring_a_generation_on_the_reference_pair_allocates_under_1_5_mib(refe
     cfg = GaConfig(alpha=0.5, beta=0.5)
     tracemalloc.start()
     try:
-        scored = list(ga._score(masks, train, test, cfg))
+        scored = list(ga._scored(mask_predictions(train, test, cfg.k, masks), train, test, cfg))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

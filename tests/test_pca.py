@@ -2,6 +2,7 @@
 plain-Python Jacobi oracle checked against it in turn."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,18 @@ def test_fit_validation_errors():
         fit_pca2(d, FeatureMask.from_string("010"))
     with pytest.raises(ValueError, match="mask length"):
         fit_pca2(d, FeatureMask.from_string("11"))
+
+
+def test_fit_refuses_a_covariance_that_overflows():
+    # finite features whose products pass the largest double: the refusal
+    # names the overflow, not ProjectionModel's eigenvalue invariant, and no
+    # RuntimeWarning is printed on the way
+    for rows in ([[1e300, -1e300], [-1e300, 1e300], [1e300, 1e300]],
+                 [[1.7e308, 1.0], [1.6e308, 2.0], [-1.7e308, 0.0]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="covariance .* overflows"):
+                fit_pca2(single_class(rows))
 
 
 def test_projection_model_invariants():
