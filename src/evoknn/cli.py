@@ -23,6 +23,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -34,6 +35,7 @@ from .dataset import (
     Dataset,
     DatasetError,
     atomic_write,
+    cell_text,
     load_csv,
     normalize_minmax,
     split_random,
@@ -65,18 +67,16 @@ class UsageError(Exception):
 
 
 def _fmt(value) -> str:
-    """A manifest value, plain where a ``key = value`` line reads it back as
-    itself, else JSON: text that is not printable, has edge whitespace, starts
-    with ``"`` or ``[`` or spells ``none``/``true``/``false``, or a list with
-    an item holding ``;``."""
+    """A ``key = value`` line's value as ``cell_text`` writes it, plain where
+    the line reads it back as itself, else JSON: text that is not printable,
+    has edge whitespace, starts with ``"`` or ``[`` or spells
+    ``none``/``true``/``false``, or a list with an item holding ``;``."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return "none"
-    if isinstance(value, float):
-        return repr(value)
     listed = isinstance(value, list)  # a repeatable flag's values, or a list of results
-    text = ";".join(value) if listed else str(value)
+    text = ";".join(value) if listed else cell_text(value)
     if (not text.isprintable() or text != text.strip() or text.startswith(('"', '['))
             or text in ("none", "true", "false") or listed and any(";" in v for v in value)):
         return json.dumps(value if listed else text)
@@ -102,9 +102,14 @@ def _digests(args, *dests: str) -> list[tuple[str, str]]:
             for dest in dests if (path := getattr(args, dest)) is not None]
 
 
+def _write_pairs(pairs: list[tuple[str, object]], fh) -> None:
+    """One ``key = value`` line per pair: every manifest and stdout report."""
+    fh.writelines(f"{key} = {_fmt(value)}\n" for key, value in pairs)
+
+
 def _write_manifest(pairs: list[tuple[str, object]], path) -> None:
     with atomic_write(path) as fh:
-        fh.writelines(f"{key} = {_fmt(value)}\n" for key, value in pairs)
+        _write_pairs(pairs, fh)
 
 
 def _refuse_overwrites(inputs, artefacts) -> None:
@@ -206,6 +211,10 @@ def _parse_mask_text(source: str, value: str, feature_count: int) -> FeatureMask
         return FeatureMask.from_string(source)
     indices = _parse_int_list(
         source, f"mask {value!r}, unless a {feature_count}-character 0/1 string,")
+    repeated = sorted(i for i, n in Counter(indices).items() if n > 1)
+    if repeated:
+        raise UsageError(f"mask {value!r} names feature index "
+                         f"{','.join(map(str, repeated))} more than once")
     try:
         return FeatureMask.from_indices(indices, feature_count)
     except ValueError as exc:
@@ -316,11 +325,10 @@ def cmd_select(args) -> int:
         ]
     _write_manifest(manifest, summary_path)
 
-    print(f"generations_run = {len(trace) - 1}")
-    print(f"best_fitness = {best.fitness!r}")
-    print(f"hits = {best.hits} / {eval_n}")
-    print(f"selected_features = {mask.to_index_string()}")
-    print(f"wall_time_seconds = {wall:.3f}")
+    _write_pairs([("generations_run", len(trace) - 1), ("best_fitness", best.fitness),
+                  ("hits", f"{best.hits} / {eval_n}"),
+                  ("selected_features", mask.to_index_string()),
+                  ("wall_time_seconds", f"{wall:.3f}")], sys.stdout)
     print(f"artefacts in {out_dir}")
     return EXIT_OK
 
@@ -333,12 +341,9 @@ def cmd_eval(args) -> int:
     hits, rate, predicted = recognition_rate(
         train, test, args.k, mask, reject_ties=args.reject_ties
     )
-    print(f"command = eval")
-    print(f"k = {args.k}")
-    print(f"mask = {mask.to_string()}")
-    print(f"active_features = {mask.to_index_string()}")
-    print(f"hits = {hits}")
-    print(f"rate = {rate!r}")
+    _write_pairs([("command", "eval"), ("k", args.k), ("mask", mask.to_string()),
+                  ("active_features", mask.to_index_string()), ("hits", hits),
+                  ("rate", rate)], sys.stdout)
     for idx, (guess, actual) in enumerate(zip(predicted.tolist(), test.labels.tolist())):
         pred_name = "REJECT" if guess == REJECT else train.classes[guess]
         marker = "" if guess == actual else "\tMISS"
@@ -429,16 +434,12 @@ def cmd_oracle(args) -> int:
     train, eval_set = _load_problem(args, args.train, args.eval)
     cfg = _from_args(GaConfig, args)
     best, scored = exhaustive_best(train, eval_set, cfg)
-    print("command = oracle")
-    print(f"alpha = {cfg.alpha!r}")
-    print(f"beta = {cfg.beta!r}")
-    print(f"k = {cfg.k}")
-    print(f"subsets_evaluated = {scored}")
-    print(f"best_mask = {best.mask.to_string()}")
-    print(f"best_features = {best.mask.to_index_string()}")
-    print(f"best_fitness = {best.fitness!r}")
-    print(f"hits = {best.hits}")
-    print(f"nf = {best.nf}")
+    _write_pairs([("command", "oracle"), ("alpha", cfg.alpha), ("beta", cfg.beta),
+                  ("k", cfg.k), ("subsets_evaluated", scored),
+                  ("best_mask", best.mask.to_string()),
+                  ("best_features", best.mask.to_index_string()),
+                  ("best_fitness", best.fitness), ("hits", best.hits), ("nf", best.nf)],
+                 sys.stdout)
     return EXIT_OK
 
 

@@ -1,8 +1,10 @@
 """Labelled tabular datasets: CSV loading, splitting, optional min-max scaling.
 
-Also home of ``atomic_write``, the one way evoknn writes a file, and of
-``write_rows``, the one way it writes a CSV file: the datasets of
-``write_csv``, ``project``'s coordinates and ``ga.write_trace``'s trace.
+Also home of ``atomic_write``, the one way evoknn writes a file, of
+``write_rows``, the one way it writes a CSV file (the datasets of
+``write_csv``, ``project``'s coordinates and ``ga.write_trace``'s trace), and
+of ``cell_text``, the one way a value becomes text in a CSV cell, a manifest
+or a stdout report.
 """
 
 from __future__ import annotations
@@ -206,21 +208,22 @@ def atomic_write(path):
         raise
 
 
+def cell_text(value) -> str:
+    """A float with ``float.__repr__``, so a finite value round-trips exactly
+    through ``float`` and a numpy float prints as Python's (``28.2``, not
+    ``np.float64(28.2)``); anything else with ``str``."""
+    return float.__repr__(value) if isinstance(value, float) else str(value)
+
+
 def write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a CSV file through ``atomic_write``: ``header``, then ``rows``,
-    each line ended by ``\n``.
-
-    A float cell is written with ``float.__repr__``, so a finite value
-    round-trips exactly through ``load_csv`` and a numpy float prints as
-    Python's (``28.2``, not ``np.float64(28.2)``); any other cell with
-    ``str``.  The csv module quotes a cell that holds a comma or a quote.
-    """
+    each line ended by ``\n`` and each cell written by ``cell_text``.  The
+    csv module quotes a cell that holds a comma or a quote."""
     with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([float.__repr__(v) if isinstance(v, float) else str(v)
-                             for v in row])
+            writer.writerow([cell_text(v) for v in row])
 
 
 def write_csv(d: Dataset, path) -> None:

@@ -44,17 +44,19 @@ class SynthSpec:
             raise ValueError("per-class sample counts must be positive")
 
 
-def _standard_normal(rng: np.random.Generator, count: int) -> np.ndarray:
+def _standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     # Box-Muller on the generator's uniform stream; only rng.random() is
-    # consumed, so draws replay bit-identically across library versions
+    # consumed, so draws replay bit-identically across library versions.
+    # ``shape`` is a count or (rows, count); each row takes its ``pairs``
+    # radius uniforms, then its ``pairs`` angle uniforms, as if drawn alone
+    *rows, count = np.atleast_1d(shape)
     pairs = (count + 1) // 2
-    u1 = 1.0 - rng.random(pairs)  # (0, 1], keeps the log finite
-    u2 = rng.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    out = np.empty(2 * pairs)
-    out[0::2] = radius * np.cos(2.0 * np.pi * u2)
-    out[1::2] = radius * np.sin(2.0 * np.pi * u2)
-    return out[:count]
+    u = rng.random((*rows, 2, pairs))
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[..., 0, :]))  # 1 - u in (0, 1]: log finite
+    out = np.empty((*rows, 2 * pairs))
+    out[..., 0::2] = radius * np.cos(2.0 * np.pi * u[..., 1, :])
+    out[..., 1::2] = radius * np.sin(2.0 * np.pi * u[..., 1, :])
+    return out[..., :count]
 
 
 def class_means(spec: SynthSpec) -> np.ndarray:
@@ -70,14 +72,10 @@ def class_means(spec: SynthSpec) -> np.ndarray:
     while base**m < spec.n_classes:
         base += 1
     means = np.zeros((spec.n_classes, spec.n_features))
-    for c in range(spec.n_classes):
-        digits = []
-        value = c
-        for _ in range(m):
-            digits.append(value % base)
-            value //= base
-        for j, feature in enumerate(spec.informative):
-            means[c, feature] = digits[m - 1 - j] * spec.class_separation
+    value = np.arange(spec.n_classes)
+    for feature in reversed(spec.informative):  # the last holds the lowest digit
+        means[:, feature] = value % base * spec.class_separation
+        value //= base
     return means
 
 
@@ -86,15 +84,10 @@ def _sample_block(
 ) -> Dataset:
     # draw order: classes in id order, samples within class, one noise
     # vector per sample
-    rows = []
-    labels = []
-    for c in range(spec.n_classes):
-        for _ in range(counts[c]):
-            noise = _standard_normal(rng, spec.n_features)
-            rows.append(means[c] + spec.noise_sd * noise)
-            labels.append(c)
+    labels = np.repeat(np.arange(spec.n_classes), counts)
+    noise = _standard_normal(rng, (labels.size, spec.n_features))
     classes = tuple(f"c{c}" for c in range(spec.n_classes))
-    return Dataset(np.asarray(rows), np.asarray(labels), classes)
+    return Dataset(means[labels] + spec.noise_sd * noise, labels, classes)
 
 
 def generate(spec: SynthSpec) -> tuple[Dataset, Dataset]:

@@ -2,6 +2,7 @@
 
 import argparse
 import collections
+import contextlib
 import csv
 import hashlib
 import inspect
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from evoknn import cli, ga, knn
 from evoknn.dataset import (atomic_write, from_rows, load_csv, split_random,
-                            unify_vocabulary, write_csv)
+                            unify_vocabulary, write_csv, write_rows)
 from evoknn.ga import TRACE_COLUMNS, GaConfig, GenerationStats, exhaustive_best, write_trace
 from evoknn.knn import FeatureMask, recognition_rate
 from evoknn.pca import fit_pca2, project_rows
@@ -251,7 +252,7 @@ def reference_run(tmp_path_factory):
     with every ``ga.fitness`` and ``ga.recognition_rate`` call counted by
     name and number of positional arguments, every ``knn._d2`` and
     ``knn._vote`` call logged and every ``knn._term`` feature logged:
-    (out dir, counts, chunk log, term log)."""
+    (out dir, counts, chunk log, term log, synth's and select's stdout)."""
     calls = collections.Counter()
 
     def counted(name, func):
@@ -260,14 +261,15 @@ def reference_run(tmp_path_factory):
             return func(*args, **kwargs)
         return wrapper
 
-    with pytest.MonkeyPatch.context() as mp:
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(stdout):
         for name in ("fitness", "recognition_rate"):
             mp.setattr(ga, name, counted(name, getattr(ga, name)))
         seen = _record_chunks(mp)
         terms = _record_terms(mp)
         out = _synth_and_select(tmp_path_factory.mktemp("reference"),
                                 *GOLDEN_SELECT_RUNS[-1][:2])
-    return out, calls, seen, terms
+    return out, calls, seen, terms, stdout.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +286,26 @@ def test_select_trace_matches_golden_digest(tmp_path, capsys, reference_select):
     for out, (_, _, golden) in zip(outs, GOLDEN_SELECT_RUNS):
         for name, want in golden.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
+
+
+# the reference select's stdout, recorded before the stdout reports shared the
+# manifests' line writer: its wall time masked, its out dir made relative
+REFERENCE_SELECT_STDOUT = """\
+generations_run = 115
+best_fitness = 28.2
+hits = 50 / 50
+selected_features = 70,101,112
+wall_time_seconds = *
+artefacts in run
+"""
+
+
+def test_reference_select_stdout_matches_its_recording(reference_run):
+    out, stdout = reference_run[0], reference_run[4]
+    report = stdout.split("\n", 1)[1]  # after synth's one line
+    report = re.sub(r"(?m)^wall_time_seconds = \d+\.\d{3}$", "wall_time_seconds = *", report)
+    assert report.replace(f"artefacts in {out}", f"artefacts in {out.name}") \
+        == REFERENCE_SELECT_STDOUT
 
 
 def test_reference_select_scores_each_distinct_mask_once(reference_select):
@@ -1073,6 +1095,25 @@ def test_bad_mask_is_a_usage_error(data_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_repeated_mask_index_is_a_usage_error_naming_it(data_dir, tmp_path, capsys):
+    # FeatureMask.from_indices would merge the repeat, and the run would
+    # silently score fewer features than the list names
+    train, test = str(data_dir / "train.csv"), str(data_dir / "test.csv")
+    mask_file = tmp_path / "mask.txt"
+    mask_file.write_text("# repeats feature 1\n1,4,1\n")
+    coords = tmp_path / "coords.csv"
+    for argv, repeated in (
+            (["eval", train, test, "--mask", "1,4,4"], "4"),
+            (["eval", train, test, "--mask", "4,1,4,1"], "1,4"),
+            (["eval", train, test, "--mask", str(mask_file)], "1"),
+            (["project", train, "--mask", "4,1,4", "--out", str(coords)], "4")):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"names feature index {repeated} more than once" in captured.err, argv
+    assert not coords.exists()
+
+
 def test_mask_text_that_also_names_a_file_is_ambiguous(data_dir, tmp_path,
                                                        monkeypatch, capsys):
     train, test = str(data_dir / "train.csv"), str(data_dir / "test.csv")
@@ -1160,6 +1201,37 @@ def test_a_manifest_line_reads_back_as_its_value(value):
         assert text == (";".join(value) if isinstance(value, list) else value)
     else:
         assert text == json.dumps(value)
+
+
+def test_a_numpy_float_reads_as_a_python_float_in_every_report(data_dir, tmp_path,
+                                                              monkeypatch, capsys):
+    # repr(np.float64(28.2)) is "np.float64(28.2)" in numpy 2; every manifest,
+    # stdout report and CSV cell writes 28.2
+    def numpy_fitness(search):
+        def wrapper(*args, **kwargs):
+            best, *rest = search(*args, **kwargs)
+            return (best._replace(fitness=np.float64(28.2)), *rest)
+        return wrapper
+
+    def numpy_rate(*args, **kwargs):
+        hits, _, predicted = recognition_rate(*args, **kwargs)
+        return hits, np.float64(28.2), predicted
+
+    for name in ("evolve", "exhaustive_best"):
+        monkeypatch.setattr(cli, name, numpy_fitness(getattr(cli, name)))
+    monkeypatch.setattr(cli, "recognition_rate", numpy_rate)
+    train, test = str(data_dir / "train.csv"), str(data_dir / "test.csv")
+    out = tmp_path / "run"
+    assert cli.main(["select", train, test, "--out-dir", str(out), "--pop", "6",
+                     "--generations", "2"]) == 0
+    assert stdout_field(capsys, "best_fitness") == "28.2"
+    assert read_manifest(out / "summary.txt")["best_fitness"] == "28.2"
+    assert cli.main(["oracle", train, test]) == 0
+    assert stdout_field(capsys, "best_fitness") == "28.2"
+    assert cli.main(["eval", train, test, "--mask", "1,4"]) == 0
+    assert stdout_field(capsys, "rate") == "28.2"
+    write_rows(tmp_path / "cells.csv", ["x"], [[np.float64(28.2)]])
+    assert (tmp_path / "cells.csv").read_text() == "x\n28.2\n"
 
 
 def test_bad_flag_values_are_usage_errors(data_dir, tmp_path, capsys):

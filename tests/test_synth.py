@@ -114,3 +114,14 @@ def test_standard_normal_statistics_and_replay():
     assert abs((draws < 0).mean() - 0.5) < 0.02
     replay = _standard_normal(np.random.default_rng(55), 20001)
     assert np.array_equal(draws, replay)
+
+
+@pytest.mark.parametrize("count", [1, 6, 7, 117])
+def test_standard_normal_block_rows_equal_rows_drawn_alone(count):
+    # a (rows, count) block reads the stream as one draw per row would, odd
+    # counts included, whose last angle's sine is drawn and dropped
+    block = _standard_normal(np.random.default_rng(21), (5, count))
+    rng = np.random.default_rng(21)
+    alone = [_standard_normal(rng, count) for _ in range(5)]
+    assert block.shape == (5, count)
+    assert all(np.array_equal(row, want) for row, want in zip(block, alone))
