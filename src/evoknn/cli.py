@@ -115,13 +115,17 @@ def _write_manifest(pairs: list[tuple[str, object]], path) -> None:
 def _refuse_overwrites(inputs, artefacts) -> None:
     """Each artefact must be a file of its own: one that resolves to an input
     or to an earlier artefact would destroy it, and the manifest would then
-    list or hash a file that no longer holds what it says."""
+    list or hash a file that no longer holds what it says.  An existing file
+    where one of its directories must go would fail the write after the work."""
     taken = {Path(path).resolve(): f"input {path}" for path in inputs}
     for path in artefacts:
         resolved = Path(path).resolve()
         if resolved in taken:
             raise UsageError(f"artefact {path} would overwrite {taken[resolved]}")
         taken[resolved] = f"artefact {path}"
+        for parent in Path(path).parents:
+            if parent.exists() and not parent.is_dir():
+                raise UsageError(f"artefact {path} cannot be written: {parent} is a file")
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -243,6 +247,10 @@ def cmd_synth(args) -> int:
     pool = dict.fromkeys(POOL_DEFAULTS) if uniform else POOL_DEFAULTS | given
     spec = _from_args(SynthSpec, args,
                       informative=_parse_int_list(args.informative, "--informative"))
+    out_dir = Path(args.out_dir)
+    train_path, test_path, manifest_path = (
+        out_dir / name for name in ("train.csv", "test.csv", "manifest.txt"))
+    _refuse_overwrites([], [train_path, test_path, manifest_path])
     try:
         # each value checked here comes from a flag: a refusal is a usage error
         if uniform:
@@ -254,10 +262,6 @@ def cmd_synth(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
 
-    out_dir = Path(args.out_dir)
-    train_path = out_dir / "train.csv"
-    test_path = out_dir / "test.csv"
-    manifest_path = out_dir / "manifest.txt"
     manifest_path.unlink(missing_ok=True)
     write_csv(train, train_path)
     write_csv(test, test_path)

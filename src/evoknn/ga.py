@@ -28,7 +28,8 @@ tournament indices, parent B tournament indices, crossover coin, cut point
 (only when crossing and L >= 2), then for each of the two children a
 mutation coin, L flip coins (only when mutating), and one repair index if
 the child is all-zero.  The repair applies whether or not the coin fired:
-crossover can cut two sparse parents into an empty child.  Both children
+crossover cuts two parents' bit arrays, possibly into an empty child, and
+``mutate`` builds each child's one mask after its repair.  Both children
 are always drawn even when only one slot remains.
 """
 
@@ -143,8 +144,6 @@ def fitness(
     sample, passed on to ``recognition_rate`` (which then only counts hits).
     """
     nf = mask.active_count
-    if nf == 0:
-        raise ValueError("all-zero mask must be repaired before evaluation")
     hits, _, _ = recognition_rate(train, eval_set, cfg.k, mask, predicted=predicted)
     return Individual(mask, cfg.alpha * hits - cfg.beta * nf, hits, nf)
 
@@ -165,8 +164,8 @@ def _scored(
 
 
 def _repair(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    if not bits.any():
-        bits[int(rng.integers(0, bits.size))] = True
+    if not bits.any():  # all-zero bits become one uniformly drawn bit, in a new array
+        bits = np.arange(bits.size) == rng.integers(0, bits.size)
     return bits
 
 
@@ -195,34 +194,32 @@ def tournament_select(
 
 
 def crossover(
-    a: FeatureMask, b: FeatureMask, cfg: GaConfig, rng: np.random.Generator
-) -> tuple[FeatureMask, FeatureMask]:
-    """Single-point crossover with probability ``crossover_prob``, else copies.
+    a: np.ndarray, b: np.ndarray, cfg: GaConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Single-point crossover of bool bit arrays with probability
+    ``crossover_prob``, else the parents themselves.
 
     The cut position is uniform over 1..L-1, so both children always receive
-    material from both parents; length-1 masks have no interior cut and
-    pass through unchanged.
+    material from both parents; length-1 parents have no interior cut and
+    pass through unchanged.  A child may be all-zero until ``mutate``.
     """
-    if a.length != b.length:
+    if a.size != b.size:
         raise ValueError("parents must have equal length")
-    if rng.random() < cfg.crossover_prob and a.length >= 2:
-        cut = int(rng.integers(1, a.length))
-        c1 = np.concatenate([a.bits[:cut], b.bits[cut:]])
-        c2 = np.concatenate([b.bits[:cut], a.bits[cut:]])
-        return FeatureMask(c1), FeatureMask(c2)
+    if rng.random() < cfg.crossover_prob and a.size >= 2:
+        cut = int(rng.integers(1, a.size))
+        return np.concatenate([a[:cut], b[cut:]]), np.concatenate([b[:cut], a[cut:]])
     return a, b
 
 
-def mutate(mask: FeatureMask, cfg: GaConfig, rng: np.random.Generator) -> FeatureMask:
-    """With probability ``mutation_prob``, flip each bit at the per-bit rate.
+def mutate(bits: np.ndarray, cfg: GaConfig, rng: np.random.Generator) -> FeatureMask:
+    """The child ``FeatureMask`` of bool array ``bits``, each bit flipped at
+    the per-bit rate with probability ``mutation_prob``.
 
     An all-zero result, mutated or not, is repaired by setting one uniformly
-    chosen bit, so every mask handed to fitness evaluation has
-    active_count >= 1.
+    chosen bit; ``bits`` itself is left as it is.
     """
-    bits = mask.bits.copy()
     if rng.random() < cfg.mutation_prob:
-        bits ^= rng.random(mask.length) < cfg.flip_rate(mask.length)
+        bits = bits ^ (rng.random(bits.size) < cfg.flip_rate(bits.size))
     return FeatureMask(_repair(bits, rng))
 
 
@@ -302,7 +299,7 @@ def evolve(
         while len(offspring) < need:
             pa = tournament_select(population, cfg, rng)
             pb = tournament_select(population, cfg, rng)
-            c1, c2 = crossover(pa.mask, pb.mask, cfg, rng)
+            c1, c2 = crossover(pa.mask.bits, pb.mask.bits, cfg, rng)
             offspring += [mutate(c1, cfg, rng), mutate(c2, cfg, rng)]
         population = elites + evaluate(offspring[:need])
 

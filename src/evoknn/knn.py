@@ -20,7 +20,8 @@ predicted classes:
   array of every feature's term filled once, the pass adds ``table[j]``;
   without one it computes each term once per chunk into a scratch matrix.
   The GA holds one table per run, when it fits ``TERM_BUDGET``; every
-  other caller scores without one, so its working set stays one block.
+  other caller scores without one, so its working set stays one block:
+  each chunk fills its own, freed after its vote, before the next is filled.
 - ``subset_predictions`` scores every non-empty subset by prefix extension
   (Narendra & Fukunaga, 1977).  The top ``b`` features, ``2**b`` rows, span
   one block; the low sets ``s`` are visited in ascending order, low feature
@@ -79,7 +80,8 @@ class FeatureMask:
     is feature 0.  ``key`` holds one 0/1 byte per feature, set once; equality
     and hashing come from it, and at equal length key order is text order,
     so ``(-fitness, nf, key)`` sorts ties by fewer features, then by the
-    smaller 0/1 text.  ``bits`` is a read-only bool view of ``key``.
+    smaller 0/1 text.  ``bits`` is a read-only bool view of ``key``.  Every
+    mask has an active feature: k-NN cannot score one that selects none.
     """
 
     bits: np.ndarray = field(compare=False)
@@ -90,6 +92,8 @@ class FeatureMask:
         if bits.ndim != 1 or bits.size == 0:
             raise ValueError("mask must be a non-empty 1D bit string")
         key = bits.tobytes()
+        if 1 not in key:  # not bits.any(): a numpy call per subset would slow the oracle
+            raise ValueError("mask has no active features")
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "bits", np.frombuffer(key, dtype=bool))
 
@@ -168,25 +172,18 @@ def term_table(train: Dataset, test: Dataset) -> Optional[np.ndarray]:
     return table
 
 
-def _d2(
-    train: Dataset, queries, masks: Sequence[FeatureMask], out=None, table=None
-) -> np.ndarray:
-    """(masks x queries x train) squared distances in one feature-outer pass.
-
-    ``out``, if given, holds at least ``len(masks)`` such matrices and is
-    overwritten.  ``table``, if given, is ``term_table``'s, and each term is
-    read from it instead of computed."""
+def _d2(train: Dataset, queries, masks: Sequence[FeatureMask], table=None) -> np.ndarray:
+    """(masks x queries x train) squared distances in one feature-outer pass,
+    into a new zeroed block.  ``table``, if given, is ``term_table``'s, and
+    each term is read from it instead of computed."""
     queries = _queries(train, queries)
     for mask in masks:
         if mask.length != train.feature_count:
             raise ValueError(
                 f"mask length {mask.length} does not match feature count {train.feature_count}"
             )
-        if 1 not in mask.key:
-            raise ValueError("mask has no active features")
     shape = (len(masks), queries.shape[0], train.n_samples)
-    d2 = np.empty(shape) if out is None else out[: len(masks)]
-    d2.fill(0.0)
+    d2 = np.zeros(shape)
     scratch = np.empty(shape[1:]) if table is None else None
     # (feature, mask) pairs, feature-major
     features, owners = np.nonzero(np.stack([mask.bits for mask in masks]).T)
@@ -265,17 +262,15 @@ def mask_predictions(
     reject_ties: bool = False, table: Optional[np.ndarray] = None,
 ) -> Iterator[tuple[FeatureMask, np.ndarray]]:
     """``(mask, predicted class per test sample)`` for each of ``masks``, in
-    order.  Each chunk of ``_block_rows`` masks is one ``_d2`` pass into a
-    block allocated once per call, then one ``_vote``.  ``table``, if given,
-    is ``term_table(train, test)``, which the passes read their terms from."""
+    order.  Each chunk of ``_block_rows`` masks is one ``_d2`` pass into its
+    own block, freed once ``_vote`` returns its predicted classes.  ``table``,
+    if given, is ``term_table(train, test)``, read for the passes' terms."""
     masks = iter(masks)
     width = _block_rows(train, test)
-    block = None
     while chunk := list(itertools.islice(masks, width)):
-        if block is None:
-            block = np.empty((len(chunk), test.n_samples, train.n_samples))
-        d2 = _d2(train, test.features, chunk, out=block, table=table)
-        yield from zip(chunk, _vote(d2, train.labels, len(train.classes), k, reject_ties)[2])
+        predicted = _vote(_d2(train, test.features, chunk, table=table), train.labels,
+                          len(train.classes), k, reject_ties)[2]
+        yield from zip(chunk, predicted)
 
 
 def subset_predictions(

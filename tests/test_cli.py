@@ -609,6 +609,40 @@ def test_oracle_votes_each_scored_chunk_once(data_dir, monkeypatch, capsys):
     assert all(8 * np.prod(shape) <= knn.D2_BUDGET for _, shape in seen)
 
 
+# stdout sha256 of the oracle-k3 benchmark's problem 0 and of the CI vote-tie
+# eval reports on the reference pair, as recorded on Python 3.11
+ORACLE_K3_PROBLEM_0_SHA256 = "a5c3b0a423ae071f54c6c87ec5c73f851c41854dae5f87af4ea936c26974004c"
+EVAL_TIE_SHA256 = {
+    ("--k", "3"): "cc55320a3d31a101fcbc9c0b8fff951045eae32d990ce5d0f387c97b612514f6",
+    ("--k", "2", "--reject-ties"):
+        "1f192334f3634f15ebdbae36a21da0c284b57ba3731efbc7096bb79c75827226",
+    ("--k", "1"): "45eb6309831204e573bd859116760e37588c133f3e5523585b1fdb83c4d75393",
+    ("--k", "1", "--reject-ties"):
+        "45eb6309831204e573bd859116760e37588c133f3e5523585b1fdb83c4d75393",
+}
+
+
+def _stdout_sha256(capsys, argv):
+    assert cli.main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+def test_oracle_k3_problem_0_and_the_eval_tie_reports_match_their_digests(tmp_path, capsys):
+    # the same bytes CI pins: every subset's score at k = 3 decides the
+    # oracle's report, and every predicted class the eval reports
+    k3, ref = tmp_path / "k3", tmp_path / "ref"
+    assert cli.main(["synth", "--out-dir", str(k3), "--classes", "6", "--features", "14",
+                     "--informative", "1,5,9", "--separation", "6", "--train-per-class",
+                     "10", "--test-per-class", "5", "--seed", "12957"]) == 0
+    assert cli.main(["synth", "--out-dir", str(ref), "--seed", "12957"]) == 0
+    capsys.readouterr()
+    assert _stdout_sha256(capsys, ["oracle", str(k3 / "train.csv"), str(k3 / "test.csv"),
+                                   "--k", "3"]) == ORACLE_K3_PROBLEM_0_SHA256
+    for flags, want in EVAL_TIE_SHA256.items():
+        assert _stdout_sha256(capsys, ["eval", str(ref / "train.csv"), str(ref / "test.csv"),
+                                       "--mask", "0,1,2,3,4", *flags]) == want, flags
+
+
 def test_oracle_guard_exit_code(tmp_path, capsys):
     wide = tmp_path / "wide"
     assert cli.main(["synth", "--out-dir", str(wide), "--classes", "2",
@@ -802,6 +836,32 @@ def test_failed_project_leaves_no_manifest(data_dir, tmp_path, capsys):
     capsys.readouterr()
     assert not coords.with_suffix(".manifest.txt").exists()
     assert _temp_files(tmp_path) == []
+
+
+@pytest.mark.parametrize("under", ["", "run", "a/b"])
+def test_an_artefact_path_under_a_file_is_refused_before_any_work(data_dir, monkeypatch,
+                                                                  capsys, under):
+    # the file in the way is named, nothing is loaded, generated or written,
+    # and the file keeps its bytes
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("load_csv", "generate", "generate_pool", "evolve"):
+        monkeypatch.setattr(cli, name, no_work)
+    train, test = data_dir / "train.csv", data_dir / "test.csv"
+    before = {path: path.read_bytes() for path in data_dir.iterdir()}
+    out_dir = str(train / under) if under else str(train)
+    for argv in (["select", str(train), str(test), "--out-dir", out_dir],
+                 ["synth", "--out-dir", out_dir]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{train} is a file" in captured.err, argv
+        assert {path: path.read_bytes() for path in data_dir.iterdir()} == before
+    monkeypatch.undo()  # project loads its dataset first, then refuses before writing
+    assert cli.main(["project", str(train), "--out", str(Path(out_dir) / "c.csv")]) == 2
+    assert f"{train} is a file" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in data_dir.iterdir()} == before
 
 
 def test_failed_select_leaves_no_summary_and_no_temp_file(data_dir, tmp_path, capsys,

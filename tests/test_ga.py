@@ -155,62 +155,76 @@ def test_tournament_fitness_ties_go_to_the_lower_index():
 
 
 def test_crossover_single_point_structure():
-    a = FeatureMask(np.zeros(10, dtype=bool))
-    b = FeatureMask(np.ones(10, dtype=bool))
+    a = np.zeros(10, dtype=bool)
+    b = np.ones(10, dtype=bool)
     cfg = GaConfig(crossover_prob=1.0)
     rng = np.random.default_rng(3)
     seen_cuts = set()
     for _ in range(200):
         c1, c2 = crossover(a, b, cfg, rng)
         # child 1 is a zero prefix then ones; child 2 the complement
-        flips = np.flatnonzero(np.diff(c1.bits.astype(int)))
+        flips = np.flatnonzero(np.diff(c1.astype(int)))
         assert len(flips) == 1
         cut = int(flips[0]) + 1
         seen_cuts.add(cut)
-        assert not c1.bits[:cut].any() and c1.bits[cut:].all()
-        assert c2.bits[:cut].all() and not c2.bits[cut:].any()
+        assert not c1[:cut].any() and c1[cut:].all()
+        assert c2[:cut].all() and not c2[cut:].any()
         # per-position material is conserved
-        assert np.array_equal(c1.bits ^ c2.bits, a.bits ^ b.bits)
+        assert np.array_equal(c1 ^ c2, a ^ b)
     assert seen_cuts == set(range(1, 10))  # interior cuts only, all reachable
 
 
 def test_crossover_disabled_returns_parents():
-    a = FeatureMask(np.array([1, 0, 1], dtype=bool))
-    b = FeatureMask(np.array([0, 1, 1], dtype=bool))
+    a = np.array([1, 0, 1], dtype=bool)
+    b = np.array([0, 1, 1], dtype=bool)
     cfg = GaConfig(crossover_prob=0.0)
     rng = np.random.default_rng(5)
     for _ in range(20):
         c1, c2 = crossover(a, b, cfg, rng)
-        assert c1 == a and c2 == b
+        assert np.array_equal(c1, a) and np.array_equal(c2, b)
+
+
+def test_crossover_can_cut_an_all_zero_child_that_mutate_repairs():
+    # 10 and 01 cut at their one interior point give 11 and 00: the empty
+    # child is a bit array, no mask, until mutate repairs it
+    a, b = np.array([1, 0], dtype=bool), np.array([0, 1], dtype=bool)
+    cfg = GaConfig(crossover_prob=1.0, mutation_prob=0.0)
+    rng = np.random.default_rng(8)
+    c1, c2 = crossover(a, b, cfg, rng)
+    assert c1.tolist() == [True, True] and c2.tolist() == [False, False]
+    with pytest.raises(ValueError, match="no active features"):
+        FeatureMask(c2)
+    # the gate is shut, so only the repair acts: one uniformly drawn bit
+    repaired = {mutate(c2, cfg, rng).to_string() for _ in range(20)}
+    assert repaired == {"10", "01"}
+    assert not c2.any()  # mutate left its argument as it was
 
 
 def test_mutation_mean_flip_count_is_one_bit():
     length = 20
-    base = FeatureMask(np.zeros(length, dtype=bool))
+    base = np.zeros(length, dtype=bool)
     # popcount-1 repair would skew the count; give the base one set bit
-    bits = base.bits.copy()
-    bits[0] = True
-    base = FeatureMask(bits)
+    base[0] = True
     cfg = GaConfig(mutation_prob=1.0)  # always mutate; default rate 1/L
     rng = np.random.default_rng(11)
     total_flips = 0
     trials = 6000
     for _ in range(trials):
         child = mutate(base, cfg, rng)
-        total_flips += int((child.bits ^ base.bits).sum())
+        total_flips += int((child.bits ^ base).sum())
     assert abs(total_flips / trials - 1.0) < 0.06
 
 
 def test_mutation_probability_gate():
-    base = FeatureMask(np.array([1, 0, 1, 0], dtype=bool))
+    base = np.array([1, 0, 1, 0], dtype=bool)
     never = GaConfig(mutation_prob=0.0)
     rng = np.random.default_rng(2)
     for _ in range(50):
-        assert mutate(base, never, rng) == base
+        assert mutate(base, never, rng) == FeatureMask(base)
 
 
 def test_mutation_repairs_all_zero_results():
-    base = FeatureMask(np.array([0, 0, 1, 0], dtype=bool))
+    base = np.array([0, 0, 1, 0], dtype=bool)
     cfg = GaConfig(mutation_prob=1.0, per_bit_flip_rate=1.0)
     rng = np.random.default_rng(4)
     for _ in range(100):
@@ -219,7 +233,7 @@ def test_mutation_repairs_all_zero_results():
 
 
 def test_mutation_repair_from_certain_extinction():
-    base = FeatureMask(np.array([1], dtype=bool))
+    base = np.array([1], dtype=bool)
     cfg = GaConfig(population_size=2, elite_count=0, tournament_size=2,
                    mutation_prob=1.0, per_bit_flip_rate=1.0)
     rng = np.random.default_rng(4)

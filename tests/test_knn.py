@@ -59,12 +59,18 @@ def mask_text_pairs(draw):
 @given(mask_text_pairs())
 def test_mask_key_is_its_text_in_bytes(pair):
     a, b = pair
-    ma, mb = FeatureMask.from_string(a), FeatureMask.from_string(b)
-    assert (ma == mb) == (a == b)
-    assert (hash(ma) == hash(mb)) == (a == b)
-    if len(a) == len(b):
-        assert (ma.key < mb.key) == (a < b)
-    for mask, text in ((ma, a), (mb, b)):
+    texts = [text for text in pair if "1" in text]
+    for text in set(pair) - set(texts):  # an all-zero text makes no mask
+        with pytest.raises(ValueError, match="no active features"):
+            FeatureMask.from_string(text)
+    if len(texts) == 2:
+        ma, mb = FeatureMask.from_string(a), FeatureMask.from_string(b)
+        assert (ma == mb) == (a == b)
+        assert (hash(ma) == hash(mb)) == (a == b)
+        if len(a) == len(b):
+            assert (ma.key < mb.key) == (a < b)
+    for text in texts:
+        mask = FeatureMask.from_string(text)
         bits = [c == "1" for c in text]
         assert mask.key == bytes(bits)
         assert mask.bits.tolist() == bits and mask.bits.tobytes() == mask.key
@@ -76,6 +82,16 @@ def test_mask_key_is_its_text_in_bytes(pair):
                 == FeatureMask(np.array(bits, dtype=np.uint8)) == mask)
         assert (mask.to_string(), mask.length, mask.active_count) == (
             text, len(text), len(indices))
+
+
+@pytest.mark.parametrize("length", [1, 3, 117])
+def test_every_constructor_refuses_a_mask_with_no_active_feature(length):
+    for make in (lambda: FeatureMask(np.zeros(length, dtype=bool)),
+                 lambda: FeatureMask(np.zeros(length, dtype=np.uint8)),
+                 lambda: FeatureMask.from_string("0" * length),
+                 lambda: FeatureMask.from_indices([], length)):
+        with pytest.raises(ValueError, match="no active features"):
+            make()
 
 
 def test_mask_rejects_bad_input():
@@ -581,7 +597,7 @@ def test_chunked_scores_equal_one_mask_fitness_on_the_reference_pair(reference_p
 
 
 def test_scoring_a_generation_on_the_reference_pair_allocates_under_1_5_mib(reference_pair):
-    # one d2 block of at most D2_BUDGET bytes, reused per chunk, plus one
+    # one d2 block of at most D2_BUDGET bytes, freed before the next chunk's, plus one
     # (queries x train) term; a whole-generation block would be 3.7 MB here
     train, test = reference_pair
     rng = np.random.default_rng(12957)
