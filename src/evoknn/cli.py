@@ -23,7 +23,7 @@ import os
 import re
 import sys
 import time
-from collections import Counter
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -138,16 +138,22 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return [int(tok) for tok in tokens]
 
 
-def _from_args(cls, args, **parsed):
-    """``cls`` from the ``args`` entries named after its fields, ``parsed`` in
-    place of text flags; an absent or None entry keeps the field's default.
-    Every value comes from a flag, so a refused one is a usage error."""
-    given = vars(args) | parsed
+@contextmanager
+def _flag_values():
+    """Checks of values that come from flags: a refusal is a usage error."""
     try:
-        return cls(**{f.name: given[f.name] for f in fields(cls)
-                      if given.get(f.name) is not None})
+        yield
     except ValueError as exc:
         raise UsageError(str(exc))
+
+
+def _from_args(cls, args, **parsed):
+    """``cls`` from the ``args`` entries named after its fields, ``parsed`` in
+    place of text flags; an absent or None entry keeps the field's default."""
+    given = vars(args) | parsed
+    with _flag_values():
+        return cls(**{f.name: given[f.name] for f in fields(cls)
+                      if given.get(f.name) is not None})
 
 
 def _load(path, args) -> Dataset:
@@ -215,10 +221,6 @@ def _parse_mask_text(source: str, value: str, feature_count: int) -> FeatureMask
         return FeatureMask.from_string(source)
     indices = _parse_int_list(
         source, f"mask {value!r}, unless a {feature_count}-character 0/1 string,")
-    repeated = sorted(i for i, n in Counter(indices).items() if n > 1)
-    if repeated:
-        raise UsageError(f"mask {value!r} names feature index "
-                         f"{','.join(map(str, repeated))} more than once")
     try:
         return FeatureMask.from_indices(indices, feature_count)
     except ValueError as exc:
@@ -251,16 +253,13 @@ def cmd_synth(args) -> int:
     train_path, test_path, manifest_path = (
         out_dir / name for name in ("train.csv", "test.csv", "manifest.txt"))
     _refuse_overwrites([], [train_path, test_path, manifest_path])
-    try:
-        # each value checked here comes from a flag: a refusal is a usage error
+    with _flag_values():
         if uniform:
             train, test = generate(spec)
         else:
             sizes = tuple(_parse_int_list(pool["class_sizes"], "--class-sizes"))
             train, test = split_random(generate_pool(spec, sizes), pool["test_count"],
                                        spec.seed, stratified=pool["stratified"])
-    except ValueError as exc:
-        raise UsageError(str(exc))
 
     manifest_path.unlink(missing_ok=True)
     write_csv(train, train_path)
@@ -289,8 +288,9 @@ def cmd_select(args) -> int:
     _refuse_overwrites(paths, [trace_path, mask_path, summary_path])
     train, eval_set, *rest = _load_problem(args, *paths, normalize=args.normalize)
     holdout = rest[0] if rest else None
-
     cfg = _from_args(GaConfig, args)
+    with _flag_values():  # evolve checks again, but would make it a data error
+        cfg.check_weights(train, eval_set)
 
     started = time.perf_counter()
     best, trace, stopped = evolve(train, eval_set, cfg)
@@ -365,9 +365,6 @@ def _expand_pairs(pair_args: list[str], mask: Optional[FeatureMask],
             if mask is None:
                 raise UsageError("--pair all needs --mask to supply the feature set")
             active = [int(i) for i in mask.active_indices()]
-            if len(active) < 2:
-                raise UsageError(f"--pair all needs at least two active features in "
-                                 f"--mask, got {mask.to_index_string()}")
             pairs += [(a, b) for n, a in enumerate(active) for b in active[n + 1:]]
             continue
         ints = _parse_int_list(value, "--pair")
@@ -383,39 +380,40 @@ def _expand_pairs(pair_args: list[str], mask: Optional[FeatureMask],
 def cmd_project(args) -> int:
     data = _load(args.dataset, args)
     mask = _parse_mask(args.mask, data.feature_count) if args.mask else None
-    pairs = _expand_pairs(args.pair, mask, data.feature_count) if args.pair else []
+    if mask and mask.active_count < 2 and (not args.pair or "all" in args.pair):
+        raise UsageError("the PCA and --pair all need at least two active features in "
+                         f"--mask, got {mask.to_index_string()}")
     out = Path(args.out)
     manifest_path = out.with_suffix(".manifest.txt")
-    if args.pair:
-        svg = Path(args.svg) if args.svg else None
-        # (coordinates, SVG or None) paths per view: one per pair, or the PCA view
-        views = [(out.with_name(f"{out.stem}_pair_{a}_{b}{out.suffix or '.csv'}"),
-                  svg and svg.with_name(f"{svg.stem}_pair_{a}_{b}{svg.suffix or '.svg'}"))
-                 for a, b in pairs]
-    else:
-        views = [(out, args.svg)]  # --svg echoed in outputs as given
-    # a parsed --mask that names a file was read from it
-    mask_file = [args.mask] if mask and _names_a_file(args.mask) else []
-    _refuse_overwrites([args.dataset] + mask_file,
-                       [path for view in views for path in view if path] + [manifest_path])
-    manifest_path.unlink(missing_ok=True)
-
     manifest = _flags(args, mask=mask.to_string() if mask else None) + _digests(
         args, "dataset") + [
         ("samples", data.n_samples),
         ("features", data.feature_count),
     ]
-    # (coordinates, CSV columns, SVG axis labels) per view
+    # (coordinates CSV, SVG or None, coordinates, CSV columns, SVG axis labels) per view
     if args.pair:
+        pairs = _expand_pairs(args.pair, mask, data.feature_count)
+        svg = Path(args.svg) if args.svg else None
+        views = [(out.with_name(f"{out.stem}_pair_{a}_{b}{out.suffix or '.csv'}"),
+                  svg and svg.with_name(f"{svg.stem}_pair_{a}_{b}{svg.suffix or '.svg'}"),
+                  data.features[:, [a, b]], [f"f{a}", f"f{b}"],
+                  (f"feature {a}", f"feature {b}")) for a, b in pairs]
         manifest.append(("pairs", [f"{a},{b}" for a, b in pairs]))
-        axes = [(data.features[:, [a, b]], [f"f{a}", f"f{b}"], (f"feature {a}", f"feature {b}"))
-                for a, b in pairs]
     else:
         model = fit_pca2(data, mask)
         manifest += [("eigenvalue1", model.eigenvalue1), ("eigenvalue2", model.eigenvalue2)]
-        axes = [(project_rows(model, data.features), ["pc1", "pc2"], ("pc1", "pc2"))]
+        # --svg echoed in outputs as given
+        views = [(out, args.svg, project_rows(model, data.features), ["pc1", "pc2"],
+                  ("pc1", "pc2"))]
+    # every view is computed before anything is deleted or written.
+    # A parsed --mask that names a file was read from it
+    mask_file = [args.mask] if mask and _names_a_file(args.mask) else []
+    _refuse_overwrites([args.dataset] + mask_file,
+                       [path for view in views for path in view[:2] if path] + [manifest_path])
+    manifest_path.unlink(missing_ok=True)
+
     outputs: list[str] = []
-    for (coords_out, svg_out), (coords, columns, (x_label, y_label)) in zip(views, axes):
+    for coords_out, svg_out, coords, columns, (x_label, y_label) in views:
         write_rows(coords_out, ["sample_index", "label_name"] + columns,
                    ([idx, data.classes[lab]] + row for idx, (row, lab)
                     in enumerate(zip(coords.tolist(), data.labels))))
@@ -437,6 +435,8 @@ def cmd_project(args) -> int:
 def cmd_oracle(args) -> int:
     train, eval_set = _load_problem(args, args.train, args.eval)
     cfg = _from_args(GaConfig, args)
+    with _flag_values():  # exhaustive_best checks again, but as a data error
+        cfg.check_weights(train, eval_set)
     best, scored = exhaustive_best(train, eval_set, cfg)
     _write_pairs([("command", "oracle"), ("alpha", cfg.alpha), ("beta", cfg.beta),
                   ("k", cfg.k), ("subsets_evaluated", scored),

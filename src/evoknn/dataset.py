@@ -34,8 +34,10 @@ class Dataset:
     ``features`` is (n_samples, feature_count) float64, ``labels`` is
     (n_samples,) int, and ``classes`` is a tuple of unique, non-empty class
     names without leading or trailing whitespace or any control character
-    but tab: label ``c`` names ``classes[c]``.  All arrays are write-protected
-    after construction so the dataset can be shared freely across readers.
+    but tab: label ``c`` names ``classes[c]``.  A dataset has at least one
+    sample and at least one feature, so every consumer can rely on both.
+    All arrays are write-protected after construction so the dataset can be
+    shared freely across readers.
     """
 
     features: np.ndarray
@@ -47,8 +49,8 @@ class Dataset:
         labs = np.asarray(self.labels, dtype=np.intp)
         if feats.ndim != 2:
             raise DatasetError("features must be a 2D array")
-        if feats.shape[0] == 0:
-            raise DatasetError("dataset is empty")
+        if feats.size == 0:
+            raise DatasetError("dataset is empty: it needs at least one sample and one feature")
         if labs.shape != (feats.shape[0],):
             raise DatasetError("labels must be one per sample")
         if not np.isfinite(feats).all():

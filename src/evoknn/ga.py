@@ -115,6 +115,17 @@ class GaConfig:
     def flip_rate(self, length: int) -> float:
         return self.per_bit_flip_rate if self.per_bit_flip_rate is not None else 1.0 / length
 
+    def check_weights(self, train: Dataset, eval_set: Dataset) -> None:
+        """Refuse a weight whose fitness could overflow on this problem:
+        ``alpha * eval samples`` and ``beta * features`` must be finite.  Then
+        every ``alpha * hits - beta * nf`` is finite, since rounding is
+        monotone and it is a difference of two values in [0, MAX]."""
+        for name, count in (("alpha", eval_set.n_samples), ("beta", train.feature_count)):
+            value = float(getattr(self, name))  # a numpy float would warn on overflow
+            if not math.isfinite(value * count):
+                raise ValueError(f"{name} {value!r} times {count} overflows a double: "
+                                 "the fitness would not be finite")
+
 
 @dataclass(frozen=True)
 class GenerationStats:
@@ -171,8 +182,6 @@ def _repair(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def init_population(cfg: GaConfig, length: int, rng: np.random.Generator) -> list[FeatureMask]:
     """Uniform random masks; all-zero draws get one random bit set."""
-    if length < 1:
-        raise ValueError("mask length must be positive")
     pop = []
     for _ in range(cfg.population_size):
         bits = rng.random(length) < 0.5
@@ -244,7 +253,7 @@ def evolve(
     cfg: GaConfig,
     on_generation: Optional[Callable[[GenerationStats], None]] = None,
 ) -> tuple[Individual, list[GenerationStats], str]:
-    """Run the generational loop.
+    """Run the generational loop, after ``GaConfig.check_weights``.
 
     Returns ``(best, trace, stopped_by)``: the best individual ever seen, one
     trace entry per evaluated generation (the initial population included),
@@ -256,8 +265,7 @@ def evolve(
     ``elite_count`` best survive unchanged and the remainder is refilled with
     mutated crossover offspring of tournament winners.
     """
-    if train.feature_count < 1:
-        raise ValueError("training set must have at least one feature")
+    cfg.check_weights(train, eval_set)
     length = train.feature_count
     rng = np.random.default_rng(cfg.seed)
     cache: dict[FeatureMask, Individual] = {}
@@ -313,14 +321,14 @@ def exhaustive_best(
     """Evaluate every non-empty feature subset; the global fitness optimum.
 
     Returns ``(best, scored)``, ``scored`` being the number of subsets
-    evaluated.  Guarded to ``feature_count <= EXHAUSTIVE_GUARD``
-    since the subset count doubles per feature.  Ties are broken by fewer
-    active features, then by the lexicographically smaller mask string:
-    ``FeatureMask.key`` orders as the text does.
+    evaluated.  After ``GaConfig.check_weights``, guarded to
+    ``feature_count <= EXHAUSTIVE_GUARD`` since the subset count doubles per
+    feature.  Ties are broken by fewer active features, then by the
+    lexicographically smaller mask string: ``FeatureMask.key`` orders as the
+    text does.
     """
+    cfg.check_weights(train, eval_set)
     length = train.feature_count
-    if length < 1:
-        raise ValueError("training set must have at least one feature")
     if length > EXHAUSTIVE_GUARD:
         raise ValueError(
             f"feature count {length} exceeds the exhaustive guard of {EXHAUSTIVE_GUARD}"

@@ -105,12 +105,16 @@ class FeatureMask:
 
     @classmethod
     def from_indices(cls, indices: Sequence[int], length: int) -> "FeatureMask":
-        bits = np.zeros(length, dtype=bool)
+        """The mask of ``indices``, each in 0..length-1 and named once: a
+        repeat is refused, naming each repeated index, never merged."""
         for i in indices:
             if not 0 <= i < length:
                 raise ValueError(f"feature index {i} out of range for length {length}")
-            bits[i] = True
-        return cls(bits)
+        counts = np.bincount(np.asarray(indices, dtype=np.intp), minlength=length)
+        if (repeated := np.flatnonzero(counts > 1)).size:
+            raise ValueError(
+                f"mask names feature index {','.join(map(str, repeated))} more than once")
+        return cls(counts > 0)
 
     @property
     def length(self) -> int:
@@ -175,18 +179,17 @@ def term_table(train: Dataset, test: Dataset) -> Optional[np.ndarray]:
 def _d2(train: Dataset, queries, masks: Sequence[FeatureMask], table=None) -> np.ndarray:
     """(masks x queries x train) squared distances in one feature-outer pass,
     into a new zeroed block.  ``table``, if given, is ``term_table``'s, and
-    each term is read from it instead of computed."""
+    each term is read from it instead of computed.  The stacked masks must
+    have the training set's width: a short one would score a prefix."""
     queries = _queries(train, queries)
-    for mask in masks:
-        if mask.length != train.feature_count:
-            raise ValueError(
-                f"mask length {mask.length} does not match feature count {train.feature_count}"
-            )
+    bits = np.stack([mask.bits for mask in masks])
+    if bits.shape[1] != train.feature_count:
+        raise ValueError(
+            f"mask length {bits.shape[1]} does not match feature count {train.feature_count}")
     shape = (len(masks), queries.shape[0], train.n_samples)
     d2 = np.zeros(shape)
     scratch = np.empty(shape[1:]) if table is None else None
-    # (feature, mask) pairs, feature-major
-    features, owners = np.nonzero(np.stack([mask.bits for mask in masks]).T)
+    features, owners = np.nonzero(bits.T)  # (feature, mask) pairs, feature-major
     rows = list(d2)  # one view per mask, built once: cheaper than d2[m] per add
     last = -1
     with np.errstate(over="ignore"):

@@ -9,6 +9,7 @@ classification, which makes selection-quality assertions sharp.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,8 +39,10 @@ class SynthSpec:
             raise ValueError("informative feature indices must be distinct")
         if any(not 0 <= i < self.n_features for i in self.informative):
             raise ValueError(f"informative {self.informative} outside 0..{self.n_features - 1}")
-        if self.class_separation <= 0 or self.noise_sd <= 0:
-            raise ValueError("class_separation and noise_sd must be positive")
+        for name in ("class_separation", "noise_sd"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.train_per_class < 1 or self.test_per_class < 1:
             raise ValueError("per-class sample counts must be positive")
 
@@ -73,9 +76,13 @@ def class_means(spec: SynthSpec) -> np.ndarray:
         base += 1
     means = np.zeros((spec.n_classes, spec.n_features))
     value = np.arange(spec.n_classes)
-    for feature in reversed(spec.informative):  # the last holds the lowest digit
-        means[:, feature] = value % base * spec.class_separation
-        value //= base
+    with np.errstate(over="ignore"):  # refused below, by the field's name
+        for feature in reversed(spec.informative):  # the last holds the lowest digit
+            means[:, feature] = value % base * spec.class_separation
+            value //= base
+    if not np.isfinite(means).all():
+        raise ValueError(f"class_separation {spec.class_separation!r} puts a class mean "
+                         "past the largest double")
     return means
 
 
@@ -86,8 +93,13 @@ def _sample_block(
     # vector per sample
     labels = np.repeat(np.arange(spec.n_classes), counts)
     noise = _standard_normal(rng, (labels.size, spec.n_features))
+    with np.errstate(over="ignore"):  # refused below, by the fields' names
+        features = means[labels] + spec.noise_sd * noise
+    if not np.isfinite(features).all():
+        raise ValueError(f"noise_sd {spec.noise_sd!r} with class_separation "
+                         f"{spec.class_separation!r} draws a feature past the largest double")
     classes = tuple(f"c{c}" for c in range(spec.n_classes))
-    return Dataset(means[labels] + spec.noise_sd * noise, labels, classes)
+    return Dataset(features, labels, classes)
 
 
 def generate(spec: SynthSpec) -> tuple[Dataset, Dataset]:

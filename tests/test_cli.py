@@ -130,6 +130,24 @@ def test_synth_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--separation", "nan"], "class_separation must be positive and finite, got nan"),
+    (["--noise-sd", "inf"], "noise_sd must be positive and finite, got inf"),
+    (["--separation", "1e308"], "class_separation 1e+308 puts a class mean"),
+    (["--noise-sd", "1e308"], "noise_sd 1e+308 with class_separation 10.0 draws"),
+])
+def test_synth_scale_refusals_name_their_field(tmp_path, capsys, flags, named):
+    # these exited 2 with the dataset's "features contain NaN or infinite
+    # values", and the overflowing ones printed numpy's RuntimeWarning too
+    out = tmp_path / "x"
+    for mode in ([], ["--train-per-class", "2", "--test-per-class", "1"]):
+        assert cli.main(["synth", "--out-dir", str(out)] + flags + mode) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Warning" not in captured.err
+        assert captured.err == f"usage error: {named}" + captured.err.split(named)[1]
+    assert not out.exists()
+
+
 def test_synth_stratified_split_matches_the_library(tmp_path, capsys):
     out = tmp_path / "strat"
     assert cli.main(["synth", "--out-dir", str(out), "--stratified", "--noise-sd", "0.5",
@@ -676,6 +694,30 @@ def test_non_finite_ga_weights_are_usage_errors(data_dir, tmp_path, capsys, flag
         assert captured.out == "" and "must be finite" in captured.err
 
 
+@pytest.mark.parametrize("weights, named", [
+    (["--alpha", "1e308", "--beta", "1e308"], "alpha 1e+308 times 12"),
+    (["--beta", "1e308"], "beta 1e+308 times 6"),
+])
+def test_weights_whose_fitness_overflows_are_usage_errors(data_dir, tmp_path, monkeypatch,
+                                                          capsys, weights, named):
+    # finite weights whose products pass the largest double: select wrote
+    # best_fitness = nan and oracle reported {5} at inf with 4 of 12 hits.
+    # Both now refuse them after loading, before any search starts
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "evolve", no_work)
+    monkeypatch.setattr(cli, "exhaustive_best", no_work)
+    train, test = str(data_dir / "train.csv"), str(data_dir / "test.csv")
+    out = tmp_path / "run"
+    for argv in (["select", train, test, "--out-dir", str(out), "--pop", "10",
+                  "--generations", "5"] + weights, ["oracle", train, test] + weights):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{named} overflows a double" in captured.err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------- project
 
 def test_project_pca_coords_and_svg(data_dir, tmp_path, capsys):
@@ -813,6 +855,38 @@ def test_project_names_a_covariance_overflow(tmp_path, capsys):
 
 def _temp_files(directory):
     return [p.name for p in directory.rglob("*") if p.name.endswith(".tmp")]
+
+
+def test_a_refused_project_leaves_an_earlier_run_alone(data_dir, tmp_path, capsys):
+    # a one-feature PCA mask (a usage error) and a covariance overflow (a data
+    # error) each deleted the manifest of the earlier run and left its coords
+    coords = tmp_path / "p" / "c.csv"
+    manifest = coords.with_suffix(".manifest.txt")
+    train = str(data_dir / "train.csv")
+    assert cli.main(["project", train, "--mask", "1,4", "--out", str(coords)]) == 0
+    before = {path: path.read_bytes() for path in (coords, manifest)}
+    big = tmp_path / "big.csv"
+    big.write_text("a,b,label\n1e300,-1e300,x\n-1e300,1e300,y\n1e300,1e300,x\n")
+    for argv, code, said in (
+            (["project", train, "--mask", "4"], 2, "at least two active features in --mask"),
+            (["project", str(big)], 1, "overflows")):
+        capsys.readouterr()
+        assert cli.main(argv + ["--out", str(coords)]) == code, argv
+        assert said in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in before} == before
+        assert sorted(p.name for p in coords.parent.iterdir()) == ["c.csv", "c.manifest.txt"]
+
+
+def test_one_active_feature_is_a_usage_error_for_the_pca_and_pair_all(data_dir, tmp_path,
+                                                                      capsys):
+    # the PCA exited 1 where --pair all exited 2 on the same mask
+    train, out = str(data_dir / "train.csv"), str(tmp_path / "c.csv")
+    for view in ([], ["--pair", "all"]):
+        assert cli.main(["project", train, "--mask", "4", "--out", out] + view) == 2
+        assert "at least two active features in --mask, got 4" in capsys.readouterr().err
+    # explicit pairs do not draw from the mask, so it may have one feature
+    assert cli.main(["project", train, "--mask", "4", "--pair", "1,4", "--out", out]) == 0
+    capsys.readouterr()
 
 
 def test_project_makes_the_svg_directory(data_dir, tmp_path, capsys):

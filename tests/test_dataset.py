@@ -94,8 +94,11 @@ def test_dataset_arrays_are_write_protected():
 
 
 def test_dataset_rejects_bad_shapes_and_values():
-    with pytest.raises(DatasetError):
+    with pytest.raises(DatasetError, match="dataset is empty"):
         Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), ())
+    # rows without a feature column: no consumer downstream checks this again
+    with pytest.raises(DatasetError, match="dataset is empty"):
+        Dataset(np.empty((2, 0)), [0, 1], ("a", "b"))
     with pytest.raises(DatasetError):
         Dataset(np.zeros(4), np.zeros(4, dtype=int), ("a",))
     with pytest.raises(DatasetError):

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import re
 import tracemalloc
 import warnings
 
@@ -418,9 +419,39 @@ def test_exhaustive_guard_rejects_wide_problems():
 
 
 def test_exhaustive_best_refuses_a_training_set_without_features():
-    bare = Dataset(np.empty((2, 0)), [0, 1], ("a", "b"))
-    with pytest.raises(ValueError, match="at least one feature"):
-        exhaustive_best(bare, bare, GaConfig())
+    # Dataset refuses it when it is built, so neither search can be given one
+    with pytest.raises(ValueError, match="at least one sample and one feature"):
+        Dataset(np.empty((2, 0)), [0, 1], ("a", "b"))
+
+
+@pytest.mark.parametrize("alpha, beta, named", [
+    (1e308, 1e308, "alpha 1e+308 times 2"), (0.6, 1e308, "beta 1e+308 times 3"),
+    (1e308, 0.0, "alpha 1e+308 times 2")])
+def test_both_searches_refuse_weights_whose_fitness_overflows(monkeypatch, alpha, beta,
+                                                               named):
+    # finite weights whose products pass the largest double gave a NaN or
+    # infinite fitness; each search refuses them before it scores a mask
+    train = from_rows([[0, 0, 0], [1, 1, 1], [4, 4, 4], [5, 5, 5]], ["a", "a", "b", "b"])
+    test = from_rows([[0, 0, 0], [5, 5, 5]], ["a", "b"])
+    monkeypatch.setattr(ga, "fitness", None)  # any scoring would raise a TypeError
+    cfg = GaConfig(population_size=4, max_generations=1, alpha=alpha, beta=beta)
+    for search in (evolve, exhaustive_best):
+        with pytest.raises(ValueError, match=re.escape(f"{named} overflows a double")):
+            search(train, test, cfg)
+    # on a problem past the exhaustive guard, the weights are refused first
+    wide = from_rows([list(range(21)), list(range(21, 42))], ["a", "b"])
+    with pytest.raises(ValueError, match="overflows a double"):
+        exhaustive_best(wide, wide, GaConfig(alpha=1e308, beta=1e308))
+
+
+def test_weights_just_inside_the_bound_give_a_finite_fitness():
+    # alpha * 2 eval samples is the largest double and beta * 3 features is
+    # finite, so every score is
+    train = from_rows([[0, 0, 0], [1, 1, 1], [4, 4, 4], [5, 5, 5]], ["a", "a", "b", "b"])
+    test = from_rows([[0, 0, 0], [5, 5, 5]], ["a", "b"])
+    cfg = GaConfig(alpha=np.finfo(float).max / 2, beta=np.finfo(float).max / 4)
+    best, scored = exhaustive_best(train, test, cfg)
+    assert scored == 7 and np.isfinite(best.fitness)
 
 
 @pytest.mark.parametrize("width", [5, 2])

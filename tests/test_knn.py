@@ -103,6 +103,13 @@ def test_mask_rejects_bad_input():
         FeatureMask.from_indices([4], 4)
     with pytest.raises(ValueError):
         FeatureMask.from_indices([-1], 4)
+    # a repeat is refused, naming every repeat; it was merged into a mask with
+    # fewer features than the list
+    with pytest.raises(ValueError, match="names feature index 4 more than once"):
+        FeatureMask.from_indices([1, 4, 4], 6)
+    with pytest.raises(ValueError, match="names feature index 1,4 more than once"):
+        FeatureMask.from_indices([4, 1, 4, 1, 1], 6)
+    assert FeatureMask.from_indices([4, 1], 6).to_string() == "010010"
 
 
 # ----------------------------------------------------------- distance
@@ -152,6 +159,11 @@ def test_masked_distance_validates_shapes():
                          FeatureMask(np.ones(2, bool)))
     with pytest.raises(ValueError, match="mask length 3"):
         _d2(two, [[1, 2]], [FeatureMask(np.ones(3, bool))])
+    # one chunk, one width check: a short mask after a good one is refused too
+    with pytest.raises(ValueError, match="mask length 1"):
+        _d2(two, [[1, 2]], [FeatureMask(np.ones(1, bool))] * 2)
+    with pytest.raises(ValueError):
+        _d2(two, [[1, 2]], [FeatureMask(np.ones(2, bool)), FeatureMask(np.ones(1, bool))])
     with pytest.raises(ValueError, match="no active features"):
         _d2(two, [[3, 4]], [FeatureMask.from_string("00")])
 

@@ -1,5 +1,8 @@
 """Planted-feature data generation: determinism, structure, recoverability."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,28 @@ def test_spec_validation():
     ):
         with pytest.raises(ValueError):
             SynthSpec(**bad)
+
+
+@pytest.mark.parametrize("field", ["class_separation", "noise_sd"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_spec_refuses_a_non_finite_scale_by_field_name(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        SynthSpec(**{field: value})
+
+
+@pytest.mark.parametrize("spec, named", [
+    (SynthSpec(class_separation=1e308), "class_separation 1e+308 puts a class mean"),
+    (SynthSpec(noise_sd=1e308), "noise_sd 1e+308 with class_separation 10.0 draws"),
+    (SynthSpec(n_classes=2, informative=(0,), class_separation=1e308, noise_sd=1e308),
+     "noise_sd 1e+308"),
+])
+def test_a_finite_scale_that_overflows_is_refused_by_name_without_a_warning(spec, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow RuntimeWarning would raise
+        with pytest.raises(ValueError, match=re.escape(named)):
+            generate(spec)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            generate_pool(spec, [3] * spec.n_classes)
 
 
 def test_class_means_live_on_the_planted_lattice():
