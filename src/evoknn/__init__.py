@@ -7,6 +7,7 @@ masked k-NN evaluation and 2D principal-component scatterplots.
 """
 
 from .dataset import (
+    ConfigError,
     Dataset,
     DatasetError,
     load_csv,
@@ -33,6 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "REJECT",
+    "ConfigError",
     "Dataset",
     "DatasetError",
     "FeatureMask",

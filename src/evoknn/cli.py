@@ -10,7 +10,9 @@ first artefact and written last, so a directory without one holds an
 unfinished run.  Exit codes: 0 success, 2 usage errors, 1 data errors, 141
 when stdout's reader has closed the pipe.  Each GA or synth flag stores
 into the ``GaConfig`` or ``SynthSpec`` field of its name and takes that
-field's default, so the library alone declares those parameters.
+field's default, so the library alone declares those parameters.  A usage
+error is a ``UsageError`` raised here or a ``ConfigError``, a parameter
+refused by the library code that owns it, wherever that code runs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import os
 import re
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -32,6 +33,7 @@ import numpy as np
 
 from .dataset import (
     DEFAULT_LABEL_COLUMN,
+    ConfigError,
     Dataset,
     DatasetError,
     atomic_write,
@@ -46,7 +48,7 @@ from .dataset import (
 from .ga import GaConfig, evolve, exhaustive_best, write_trace
 from .knn import REJECT, FeatureMask, recognition_rate
 from .pca import fit_pca2, project_rows
-from .plot import write_svg_scatter
+from .plot import axis_bounds, write_svg_scatter
 from .synth import SynthSpec, generate, generate_pool
 
 EXIT_OK = 0
@@ -138,22 +140,11 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return [int(tok) for tok in tokens]
 
 
-@contextmanager
-def _flag_values():
-    """Checks of values that come from flags: a refusal is a usage error."""
-    try:
-        yield
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
 def _from_args(cls, args, **parsed):
     """``cls`` from the ``args`` entries named after its fields, ``parsed`` in
     place of text flags; an absent or None entry keeps the field's default."""
     given = vars(args) | parsed
-    with _flag_values():
-        return cls(**{f.name: given[f.name] for f in fields(cls)
-                      if given.get(f.name) is not None})
+    return cls(**{f.name: given[f.name] for f in fields(cls) if given.get(f.name) is not None})
 
 
 def _load(path, args) -> Dataset:
@@ -253,13 +244,12 @@ def cmd_synth(args) -> int:
     train_path, test_path, manifest_path = (
         out_dir / name for name in ("train.csv", "test.csv", "manifest.txt"))
     _refuse_overwrites([], [train_path, test_path, manifest_path])
-    with _flag_values():
-        if uniform:
-            train, test = generate(spec)
-        else:
-            sizes = tuple(_parse_int_list(pool["class_sizes"], "--class-sizes"))
-            train, test = split_random(generate_pool(spec, sizes), pool["test_count"],
-                                       spec.seed, stratified=pool["stratified"])
+    if uniform:
+        train, test = generate(spec)
+    else:
+        sizes = tuple(_parse_int_list(pool["class_sizes"], "--class-sizes"))
+        train, test = split_random(generate_pool(spec, sizes), pool["test_count"],
+                                   spec.seed, stratified=pool["stratified"])
 
     manifest_path.unlink(missing_ok=True)
     write_csv(train, train_path)
@@ -289,8 +279,6 @@ def cmd_select(args) -> int:
     train, eval_set, *rest = _load_problem(args, *paths, normalize=args.normalize)
     holdout = rest[0] if rest else None
     cfg = _from_args(GaConfig, args)
-    with _flag_values():  # evolve checks again, but would make it a data error
-        cfg.check_weights(train, eval_set)
 
     started = time.perf_counter()
     best, trace, stopped = evolve(train, eval_set, cfg)
@@ -405,8 +393,11 @@ def cmd_project(args) -> int:
         # --svg echoed in outputs as given
         views = [(out, args.svg, project_rows(model, data.features), ["pc1", "pc2"],
                   ("pc1", "pc2"))]
-    # every view is computed before anything is deleted or written.
-    # A parsed --mask that names a file was read from it
+    # every view is computed, and each SVG's axes checked, before anything is
+    # deleted or written. A parsed --mask that names a file was read from it
+    for _, svg_out, coords, *_ in views:
+        if svg_out:
+            axis_bounds(coords)
     mask_file = [args.mask] if mask and _names_a_file(args.mask) else []
     _refuse_overwrites([args.dataset] + mask_file,
                        [path for view in views for path in view[:2] if path] + [manifest_path])
@@ -435,8 +426,6 @@ def cmd_project(args) -> int:
 def cmd_oracle(args) -> int:
     train, eval_set = _load_problem(args, args.train, args.eval)
     cfg = _from_args(GaConfig, args)
-    with _flag_values():  # exhaustive_best checks again, but as a data error
-        cfg.check_weights(train, eval_set)
     best, scored = exhaustive_best(train, eval_set, cfg)
     _write_pairs([("command", "oracle"), ("alpha", cfg.alpha), ("beta", cfg.beta),
                   ("k", cfg.k), ("subsets_evaluated", scored),
@@ -580,7 +569,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
         return code
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -27,6 +27,10 @@ class DatasetError(ValueError):
     """Raised when a dataset file or construction violates the format contract."""
 
 
+class ConfigError(ValueError):
+    """Raised by the owner of a parameter when a value the caller chose is refused."""
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable feature matrix with integer labels and a class vocabulary.
@@ -247,7 +251,7 @@ def split_random(
     """
     n = d.n_samples
     if not 0 < test_count < n:
-        raise DatasetError(f"test_count must be in 1..{n - 1}, got {test_count}")
+        raise ConfigError(f"test_count must be in 1..{n - 1}, got {test_count}")
     rng = np.random.default_rng(seed)
     if stratified:
         test_idx = _stratified_pick(d.labels, len(d.classes), test_count, rng)
@@ -304,16 +308,24 @@ def normalize_minmax(
 
     The train-set bounds are applied unchanged to ``others``, so their values
     may fall outside [0, 1].  Constant train features map to 0 everywhere.
-    Returns (scaled train, scaled others, (per-feature min, per-feature max)).
+    A span or scaled value past the largest double is refused, naming its
+    feature.  Returns (scaled train, scaled others, (per-feature min,
+    per-feature max)).
     """
     lo = train.features.min(axis=0)
     hi = train.features.max(axis=0)
-    span = hi - lo
+    with np.errstate(over="ignore"):  # an overflowing span scales train's max to nan
+        span = hi - lo
     safe = np.where(span > 0, span, 1.0)
 
     def apply(d: Dataset) -> Dataset:
-        scaled = (d.features - lo) / safe
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, by feature
+            scaled = (d.features - lo) / safe
         scaled[:, span == 0] = 0.0
+        bad = np.flatnonzero(~np.isfinite(scaled).all(axis=0))
+        if bad.size:
+            raise DatasetError(f"min-max scaling feature {bad[0]} on the training "
+                               "bounds overflows a double")
         return Dataset(scaled, d.labels, d.classes)
 
     return apply(train), [apply(d) for d in others], (lo.copy(), hi.copy())

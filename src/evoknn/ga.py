@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .dataset import Dataset, write_rows
+from .dataset import ConfigError, Dataset, write_rows
 from .knn import (FeatureMask, mask_predictions, recognition_rate, subset_predictions,
                   term_table)
 
@@ -88,43 +88,45 @@ class GaConfig:
 
     def __post_init__(self):
         if self.population_size < 1:
-            raise ValueError("population_size must be positive")
+            raise ConfigError("population_size must be positive")
         if self.max_generations < 0:
-            raise ValueError("max_generations must be non-negative")
+            raise ConfigError("max_generations must be non-negative")
         for name in ("crossover_prob", "mutation_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+                raise ConfigError(f"{name} must be in [0, 1]")
         if self.per_bit_flip_rate is not None and not 0.0 < self.per_bit_flip_rate <= 1.0:
-            raise ValueError("per_bit_flip_rate must be in (0, 1]")
+            raise ConfigError("per_bit_flip_rate must be in (0, 1]")
         for name in ("alpha", "beta", "stop_on_fitness"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
+            raise ConfigError("alpha and beta must be non-negative")
         if self.k < 1:
-            raise ValueError("k must be positive")
+            raise ConfigError("k must be positive")
         if not 0 <= self.elite_count < self.population_size:
-            raise ValueError("elite_count must be in 0..population_size-1")
+            raise ConfigError("elite_count must be in 0..population_size-1")
         if not 2 <= self.tournament_size <= self.population_size:
-            raise ValueError("tournament_size must be in 2..population_size")
+            raise ConfigError("tournament_size must be in 2..population_size")
         if self.stall_generations is not None and self.stall_generations < 1:
-            raise ValueError("stall_generations must be positive")
+            raise ConfigError("stall_generations must be positive")
 
     def flip_rate(self, length: int) -> float:
         return self.per_bit_flip_rate if self.per_bit_flip_rate is not None else 1.0 / length
 
     def check_weights(self, train: Dataset, eval_set: Dataset) -> None:
-        """Refuse a weight whose fitness could overflow on this problem:
-        ``alpha * eval samples`` and ``beta * features`` must be finite.  Then
-        every ``alpha * hits - beta * nf`` is finite, since rounding is
-        monotone and it is a difference of two values in [0, MAX]."""
+        """Refuse a weight whose fitness could overflow on this problem with a
+        ``ConfigError``: ``alpha * eval samples`` and ``beta * features`` must
+        be finite.  Then every ``alpha * hits - beta * nf`` is finite, since
+        rounding is monotone and it is a difference of two values in [0, MAX].
+        ``evolve`` and ``exhaustive_best`` each run it once, before they score
+        a mask; ``exhaustive_best`` runs it before its feature-count guard."""
         for name, count in (("alpha", eval_set.n_samples), ("beta", train.feature_count)):
             value = float(getattr(self, name))  # a numpy float would warn on overflow
             if not math.isfinite(value * count):
-                raise ValueError(f"{name} {value!r} times {count} overflows a double: "
-                                 "the fitness would not be finite")
+                raise ConfigError(f"{name} {value!r} times {count} overflows a double: "
+                                  "the fitness would not be finite")
 
 
 @dataclass(frozen=True)

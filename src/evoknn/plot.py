@@ -7,6 +7,7 @@ a replayed run reproduces the file byte for byte.
 from __future__ import annotations
 
 import colorsys
+import math
 from typing import Sequence
 
 import numpy as np
@@ -31,9 +32,27 @@ def class_palette(n: int) -> list[str]:
 
 
 def _axis_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi == lo:
-        return [lo]
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+
+
+def axis_bounds(points) -> list[tuple[float, float]]:
+    """The plotted ``(lo, hi)`` of each axis of (n, 2) ``points``: their range
+    padded by 5% of it on each side, or, for a constant axis, by 1.0 or one
+    ulp of the value, whichever is larger, so that ``lo < hi`` even at
+    ``|x| >= 2**53``.  Bounds whose span overflows a double are refused, so
+    every coordinate and tick of the SVG is finite."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError("points must be an (n, 2) array")
+    bounds = []
+    for axis, lo, hi in zip("xy", points.min(axis=0).tolist(), points.max(axis=0).tolist()):
+        pad = (hi - lo) * 0.05 or max(1.0, math.ulp(lo))  # Python floats: no warning
+        lo, hi = lo - pad, hi + pad
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"the SVG's {axis} axis, padded to {lo!r}..{hi!r}, "
+                             "spans past the largest double")
+        bounds.append((lo, hi))
+    return bounds
 
 
 def svg_scatter(
@@ -44,16 +63,9 @@ def svg_scatter(
     x_label: str = "",
     y_label: str = "",
 ) -> str:
-    """Render (n, 2) points coloured by class, with a legend entry per class."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError("points must be an (n, 2) array")
-    x_lo, y_lo = points.min(axis=0)
-    x_hi, y_hi = points.max(axis=0)
-    x_pad = (x_hi - x_lo) * 0.05 or 1.0
-    y_pad = (y_hi - y_lo) * 0.05 or 1.0
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    """Render (n, 2) points coloured by class, with a legend entry per class,
+    in the frame of ``axis_bounds``."""
+    (x_lo, x_hi), (y_lo, y_hi) = axis_bounds(points)
 
     plot_w = WIDTH - 2 * MARGIN - LEGEND_WIDTH
     plot_h = HEIGHT - 2 * MARGIN
@@ -98,7 +110,7 @@ def svg_scatter(
             f'text-anchor="middle" font-family="sans-serif" '
             f'transform="rotate(-90 16 {MARGIN + plot_h / 2:.1f})">{_esc(y_label)}</text>'
         )
-    for (x, y), lab in zip(points, labels):
+    for (x, y), lab in zip(np.asarray(points, dtype=np.float64), labels):
         parts.append(
             f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3.2" '
             f'fill="{palette[lab]}" fill-opacity="0.8"/>'

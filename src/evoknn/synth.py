@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import ConfigError, Dataset
 
 
 @dataclass(frozen=True)
@@ -32,19 +32,19 @@ class SynthSpec:
     def __post_init__(self):
         object.__setattr__(self, "informative", tuple(self.informative))
         if self.n_classes < 1 or self.n_features < 1:
-            raise ValueError("n_classes and n_features must be positive")
+            raise ConfigError("n_classes and n_features must be positive")
         if not self.informative:
-            raise ValueError("informative feature set must be non-empty")
+            raise ConfigError("informative feature set must be non-empty")
         if len(set(self.informative)) != len(self.informative):
-            raise ValueError("informative feature indices must be distinct")
+            raise ConfigError("informative feature indices must be distinct")
         if any(not 0 <= i < self.n_features for i in self.informative):
-            raise ValueError(f"informative {self.informative} outside 0..{self.n_features - 1}")
+            raise ConfigError(f"informative {self.informative} outside 0..{self.n_features - 1}")
         for name in ("class_separation", "noise_sd"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         if self.train_per_class < 1 or self.test_per_class < 1:
-            raise ValueError("per-class sample counts must be positive")
+            raise ConfigError("per-class sample counts must be positive")
 
 
 def _standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -81,8 +81,8 @@ def class_means(spec: SynthSpec) -> np.ndarray:
             means[:, feature] = value % base * spec.class_separation
             value //= base
     if not np.isfinite(means).all():
-        raise ValueError(f"class_separation {spec.class_separation!r} puts a class mean "
-                         "past the largest double")
+        raise ConfigError(f"class_separation {spec.class_separation!r} puts a class mean "
+                          "past the largest double")
     return means
 
 
@@ -96,8 +96,8 @@ def _sample_block(
     with np.errstate(over="ignore"):  # refused below, by the fields' names
         features = means[labels] + spec.noise_sd * noise
     if not np.isfinite(features).all():
-        raise ValueError(f"noise_sd {spec.noise_sd!r} with class_separation "
-                         f"{spec.class_separation!r} draws a feature past the largest double")
+        raise ConfigError(f"noise_sd {spec.noise_sd!r} with class_separation "
+                          f"{spec.class_separation!r} draws a feature past the largest double")
     classes = tuple(f"c{c}" for c in range(spec.n_classes))
     return Dataset(features, labels, classes)
 
@@ -122,8 +122,8 @@ def generate_pool(spec: SynthSpec, class_counts: Sequence[int]) -> Dataset:
     afterwards); the per-class train/test counts in ``spec`` are ignored.
     """
     if len(class_counts) != spec.n_classes:
-        raise ValueError(f"{len(class_counts)} class counts for {spec.n_classes} classes")
+        raise ConfigError(f"{len(class_counts)} class counts for {spec.n_classes} classes")
     if any(n < 1 for n in class_counts):
-        raise ValueError("class counts must be positive")
+        raise ConfigError("class counts must be positive")
     rng = np.random.default_rng(spec.seed)
     return _sample_block(class_means(spec), list(class_counts), spec, rng)

@@ -702,12 +702,12 @@ def test_weights_whose_fitness_overflows_are_usage_errors(data_dir, tmp_path, mo
                                                           capsys, weights, named):
     # finite weights whose products pass the largest double: select wrote
     # best_fitness = nan and oracle reported {5} at inf with 4 of 12 hits.
-    # Both now refuse them after loading, before any search starts
+    # Each search refuses them before it scores a mask, as a usage error
     def no_work(*args, **kwargs):
-        raise AssertionError("work started")
+        raise AssertionError("scoring started")
 
-    monkeypatch.setattr(cli, "evolve", no_work)
-    monkeypatch.setattr(cli, "exhaustive_best", no_work)
+    for name in ("term_table", "mask_predictions", "subset_predictions"):
+        monkeypatch.setattr(ga, name, no_work)
     train, test = str(data_dir / "train.csv"), str(data_dir / "test.csv")
     out = tmp_path / "run"
     for argv in (["select", train, test, "--out-dir", str(out), "--pop", "10",
@@ -875,6 +875,54 @@ def test_a_refused_project_leaves_an_earlier_run_alone(data_dir, tmp_path, capsy
         assert said in capsys.readouterr().err
         assert {path: path.read_bytes() for path in before} == before
         assert sorted(p.name for p in coords.parent.iterdir()) == ["c.csv", "c.manifest.txt"]
+
+
+@pytest.mark.filterwarnings("error")  # numpy's RuntimeWarnings raise
+def test_project_refuses_an_svg_frame_that_overflows_before_writing(tmp_path, capsys):
+    # finite features whose padded SVG frame passes the largest double: every
+    # marker read cx="nan" with exit 0. Now a data error naming the overflow,
+    # with no numpy warning, before an earlier run's files are touched
+    out, svg = tmp_path / "p" / "c.csv", tmp_path / "p" / "s.svg"
+    small = tmp_path / "small.csv"
+    small.write_text("a,b,label\n0,0,x\n1,1,y\n")
+    view = ["--pair", "0,1", "--out", str(out), "--svg", str(svg)]
+    assert cli.main(["project", str(small)] + view) == 0
+    capsys.readouterr()
+    before = {path: path.read_bytes() for path in out.parent.iterdir()}
+    assert len(before) == 3
+    for rows in ("1e308,-1e308,x\n-1e308,1e308,y\n1e308,1e308,x\n", "0,0,x\n1.79e308,1,y\n"):
+        big = tmp_path / "big.csv"
+        big.write_text("a,b,label\n" + rows)
+        assert cli.main(["project", str(big)] + view) == 1
+        err = capsys.readouterr().err
+        assert "x axis, padded" in err and "past the largest double" in err
+        assert {path: path.read_bytes() for path in out.parent.iterdir()} == before
+    # a constant axis at 1e20, where 1e20 +- 1.0 == 1e20, is drawn: finite
+    flat = tmp_path / "flat.csv"
+    flat.write_text("a,b,label\n1e20,0,x\n1e20,1,y\n1e20,2,x\n")
+    assert cli.main(["project", str(flat)] + view) == 0
+    text = (tmp_path / "p" / "s_pair_0_1.svg").read_text()
+    assert text.count('cx="295.00"') == 3 and not re.findall(r"\b(?:nan|inf)\b", text)
+
+
+@pytest.mark.filterwarnings("error")  # numpy's RuntimeWarnings raise
+def test_normalize_names_a_scaling_overflow(tmp_path, capsys):
+    # finite features read "features contain NaN or infinite values" after
+    # three RuntimeWarnings: a span that overflows, and a value over a tiny span
+    big, tiny, far = (tmp_path / name for name in ("big.csv", "tiny.csv", "far.csv"))
+    big.write_text("a,b,label\n1e308,-1e308,x\n-1e308,1e308,y\n1e308,1e308,x\n")
+    tiny.write_text("a,b,label\n0,0,x\n1e-300,1,y\n")
+    far.write_text("a,b,label\n1e10,0,x\n")
+    for train, test in ((big, big), (tiny, far)):
+        assert cli.main(["eval", str(train), str(test), "--mask", "0,1", "--normalize"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scaling feature 0 on the training bounds overflows a double" in captured.err
+    out = tmp_path / "run"
+    assert cli.main(["select", str(tiny), str(far), "--out-dir", str(out), "--normalize",
+                     "--pop", "4", "--generations", "1"]) == 1
+    assert "scaling feature 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_one_active_feature_is_a_usage_error_for_the_pca_and_pair_all(data_dir, tmp_path,

@@ -2,6 +2,7 @@
 
 import ast
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import evoknn
 from evoknn.dataset import (
+    ConfigError,
     Dataset,
     DatasetError,
     atomic_write,
@@ -101,6 +103,10 @@ def test_dataset_rejects_bad_shapes_and_values():
         Dataset(np.empty((2, 0)), [0, 1], ("a", "b"))
     with pytest.raises(DatasetError):
         Dataset(np.zeros(4), np.zeros(4, dtype=int), ("a",))
+    with pytest.raises(DatasetError, match="labels must be one per sample"):
+        Dataset(np.ones((2, 2)), np.array([0]), ("a",))
+    with pytest.raises(DatasetError, match="one label per row required"):
+        from_rows([[1.0], [2.0]], ["a"])
     with pytest.raises(DatasetError):
         Dataset(np.array([[np.nan, 1.0]]), np.array([0]), ("a",))
     with pytest.raises(DatasetError):
@@ -238,6 +244,10 @@ def test_load_csv_errors(tmp_path):
     text.write_text("x,y,label\n1,huh,a\n")
     with pytest.raises(DatasetError, match="huh"):
         load_csv(text)
+
+    for column in (3, -4, "3"):
+        with pytest.raises(DatasetError, match=f"label column index {column} out of range"):
+            load_csv(text, label_column=column)
     # float() reads these as 1000.0, 2.0 and 2.0; a feature cell is an ASCII
     # number without underscores
     for odd in ("1_000", "\u0662", "\uff12"):
@@ -306,10 +316,11 @@ def test_split_random_partitions_and_is_deterministic():
 
 
 def test_split_random_rejects_bad_counts():
+    # the count is the caller's choice, not the data's: a usage error on the CLI
     d = from_rows([[1.0, 2.0], [3.0, 4.0]], ["a", "b"])
-    with pytest.raises(DatasetError):
+    with pytest.raises(ConfigError):
         split_random(d, 0, seed=1)
-    with pytest.raises(DatasetError):
+    with pytest.raises(ConfigError):
         split_random(d, 2, seed=1)
 
 
@@ -353,3 +364,22 @@ def test_normalize_minmax_bounds_and_constant_features():
     assert hi.tolist() == [10.0, 5.0, 9.0]
     # other datasets use the train bounds, so they may leave [0, 1]
     assert others[0].features[0].tolist() == [0.5, 0.0, 2.0]
+
+
+def test_normalize_minmax_refuses_an_overflow_by_feature_without_a_warning():
+    # finite features whose span, or whose value over a tiny span, passes the
+    # largest double: each read "features contain NaN or infinite values",
+    # after three RuntimeWarnings
+    wide = from_rows([[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]], ["x", "y", "x"])
+    narrow = from_rows([[0.0, 0.0], [1e-300, 1.0]], ["x", "y"])
+    far = from_rows([[1e10, 0.0]], ["x"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DatasetError, match="scaling feature 0 .* overflows a double"):
+            normalize_minmax(wide, [wide])
+        with pytest.raises(DatasetError, match="scaling feature 0 .* overflows a double"):
+            normalize_minmax(narrow, [far])
+        # a constant train feature maps to 0, however far the other value lies
+        flat = from_rows([[-1e308, 0.0], [-1e308, 1.0]], ["x", "y"])
+        _, (scaled,), _ = normalize_minmax(flat, [from_rows([[1e308, 0.5]], ["x"])])
+    assert scaled.features.tolist() == [[0.0, 0.5]]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evoknn import ga, knn
-from evoknn.dataset import Dataset, from_rows
+from evoknn.dataset import ConfigError, Dataset, from_rows
 from evoknn.ga import (
     GaConfig,
     GenerationStats,
@@ -79,7 +79,7 @@ def test_config_validation():
         dict(beta=float("inf")),
         dict(stop_on_fitness=float("nan")),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             GaConfig(**bad)
 
 
@@ -183,6 +183,8 @@ def test_crossover_disabled_returns_parents():
     for _ in range(20):
         c1, c2 = crossover(a, b, cfg, rng)
         assert np.array_equal(c1, a) and np.array_equal(c2, b)
+    with pytest.raises(ValueError, match="parents must have equal length"):
+        crossover(a, b[:2], cfg, rng)
 
 
 def test_crossover_can_cut_an_all_zero_child_that_mutate_repairs():
@@ -414,8 +416,10 @@ def test_exhaustive_best_prefers_fewer_features_on_fitness_ties():
 
 def test_exhaustive_guard_rejects_wide_problems():
     wider = from_rows([list(range(21)), list(range(21, 42))], ["a", "b"])
-    with pytest.raises(ValueError, match="guard of 20"):
+    with pytest.raises(ValueError, match="guard of 20") as refused:
         exhaustive_best(wider, wider, GaConfig())
+    # the guard is the problem's size, not a parameter: a data error on the CLI
+    assert not isinstance(refused.value, ConfigError)
 
 
 def test_exhaustive_best_refuses_a_training_set_without_features():
@@ -436,11 +440,11 @@ def test_both_searches_refuse_weights_whose_fitness_overflows(monkeypatch, alpha
     monkeypatch.setattr(ga, "fitness", None)  # any scoring would raise a TypeError
     cfg = GaConfig(population_size=4, max_generations=1, alpha=alpha, beta=beta)
     for search in (evolve, exhaustive_best):
-        with pytest.raises(ValueError, match=re.escape(f"{named} overflows a double")):
+        with pytest.raises(ConfigError, match=re.escape(f"{named} overflows a double")):
             search(train, test, cfg)
     # on a problem past the exhaustive guard, the weights are refused first
     wide = from_rows([list(range(21)), list(range(21, 42))], ["a", "b"])
-    with pytest.raises(ValueError, match="overflows a double"):
+    with pytest.raises(ConfigError, match="overflows a double"):
         exhaustive_best(wide, wide, GaConfig(alpha=1e308, beta=1e308))
 
 

@@ -97,6 +97,9 @@ def test_every_constructor_refuses_a_mask_with_no_active_feature(length):
 def test_mask_rejects_bad_input():
     with pytest.raises(ValueError):
         FeatureMask.from_string("01x1")
+    for bits in (np.ones((2, 2), dtype=bool), np.ones(0, dtype=bool)):
+        with pytest.raises(ValueError, match="mask must be a non-empty 1D bit string"):
+            FeatureMask(bits)
     with pytest.raises(ValueError):
         FeatureMask.from_string("")
     with pytest.raises(ValueError):

@@ -188,6 +188,9 @@ def test_fit_refuses_a_covariance_that_overflows():
 
 
 def test_projection_model_invariants():
+    with pytest.raises(ValueError, match="mean and axes must share one feature length"):
+        ProjectionModel(np.zeros(3), np.array([1.0, 0.0]),
+                        np.array([0.0, 1.0]), 2.0, 1.0)
     with pytest.raises(ValueError, match="orthogonal"):
         ProjectionModel(np.zeros(2), np.array([1.0, 0.0]),
                         np.array([0.8, 0.6]), 2.0, 1.0)

@@ -1,5 +1,8 @@
 """SVG scatterplot output: structure, determinism, escaping."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +50,16 @@ def test_svg_handles_degenerate_extents():
     points = np.zeros((4, 2))  # all markers identical
     svg = svg_scatter(points, [0, 0, 0, 0], ["only"])
     assert svg.count("<circle ") == 5
+    # a constant axis is padded by 1.0: x ticks from 4 to 6
+    svg = svg_scatter(np.array([[5.0, 0.0], [5.0, 1.0]]), [0, 0], ["a"])
+    ticks = re.findall(r'text-anchor="middle" font-family="sans-serif">([^<]*)<', svg)
+    assert ticks == ["4", "4.5", "5", "5.5", "6"]
+    # 1e20 +- 1.0 is 1e20, so that pad left a zero range and every marker
+    # read cx="nan"; the pad is at least one ulp of the value
+    points = np.array([[1e20, 0.0], [1e20, 1.0], [1e20, 2.0]])
+    svg = svg_scatter(points, [0, 1, 0], ["a", "b"])
+    assert not re.findall(r"\b(?:nan|inf)\b", svg)
+    assert svg.count('cx="295.00"') == 3  # the middle of the plot
 
 
 def test_palette_sizes_and_distinctness():
@@ -60,6 +73,16 @@ def test_palette_sizes_and_distinctness():
 def test_svg_rejects_bad_points():
     with pytest.raises(ValueError):
         svg_scatter(np.zeros((3, 3)), [0, 0, 0], ["a"])
+    # finite points whose padded frame passes the largest double: the span
+    # itself overflows, or the padded upper bound does. Every coordinate read
+    # nan and the ticks nan or inf, with numpy's RuntimeWarnings on the way
+    for points, axis in (([[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]], "x"),
+                         ([[0.0, 0.0], [1.79e308, 1.0]], "x"),
+                         ([[0.0, 0.0], [1.0, -1.79e308]], "y")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{axis} axis, padded .* past the largest"):
+                svg_scatter(np.array(points), [0] * len(points), ["a"])
 
 
 def test_write_svg_scatter(tmp_path):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from evoknn.dataset import ConfigError
 from evoknn.knn import FeatureMask
 from evoknn.knn import recognition_rate
 from evoknn.synth import SynthSpec, _standard_normal, class_means, generate, generate_pool
@@ -23,14 +24,14 @@ def test_spec_validation():
         dict(train_per_class=0),
         dict(test_per_class=0),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SynthSpec(**bad)
 
 
 @pytest.mark.parametrize("field", ["class_separation", "noise_sd"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_spec_refuses_a_non_finite_scale_by_field_name(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+    with pytest.raises(ConfigError, match=f"{field} must be positive and finite"):
         SynthSpec(**{field: value})
 
 
@@ -43,9 +44,9 @@ def test_spec_refuses_a_non_finite_scale_by_field_name(field, value):
 def test_a_finite_scale_that_overflows_is_refused_by_name_without_a_warning(spec, named):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's overflow RuntimeWarning would raise
-        with pytest.raises(ValueError, match=re.escape(named)):
+        with pytest.raises(ConfigError, match=re.escape(named)):
             generate(spec)
-        with pytest.raises(ValueError, match=re.escape(named)):
+        with pytest.raises(ConfigError, match=re.escape(named)):
             generate_pool(spec, [3] * spec.n_classes)
 
 
@@ -92,9 +93,9 @@ def test_generate_pool_uneven_counts():
     pool = generate_pool(spec, (5, 2, 9, 1))
     assert pool.n_samples == 17
     assert np.bincount(pool.labels).tolist() == [5, 2, 9, 1]
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         generate_pool(spec, (5, 2, 9))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         generate_pool(spec, (5, 2, 9, 0))
 
 
