@@ -11,8 +11,8 @@ unfinished run.  Exit codes: 0 success, 2 usage errors, 1 data errors, 141
 when stdout's reader has closed the pipe.  Each GA or synth flag stores
 into the ``GaConfig`` or ``SynthSpec`` field of its name and takes that
 field's default, so the library alone declares those parameters.  A usage
-error is a ``UsageError`` raised here or a ``ConfigError``, a parameter
-refused by the library code that owns it, wherever that code runs.
+error is a ``ConfigError``, a value the caller chose that is refused, whether
+by a flag check here or by the library code that owns the parameter.
 """
 
 from __future__ import annotations
@@ -62,10 +62,6 @@ DEFAULT_CLASS_SIZES = (20, 20, 8, 4, 20, 20, 20, 20, 20, 15, 20, 10, 20, 20)
 # per-class run can tell a given one and refuse it
 POOL_DEFAULTS = {"class_sizes": ",".join(map(str, DEFAULT_CLASS_SIZES)),
                  "test_count": 50, "stratified": False}
-
-
-class UsageError(Exception):
-    """Bad flag combination or value; maps to exit code 2."""
 
 
 def _fmt(value) -> str:
@@ -123,11 +119,11 @@ def _refuse_overwrites(inputs, artefacts) -> None:
     for path in artefacts:
         resolved = Path(path).resolve()
         if resolved in taken:
-            raise UsageError(f"artefact {path} would overwrite {taken[resolved]}")
+            raise ConfigError(f"artefact {path} would overwrite {taken[resolved]}")
         taken[resolved] = f"artefact {path}"
         for parent in Path(path).parents:
             if parent.exists() and not parent.is_dir():
-                raise UsageError(f"artefact {path} cannot be written: {parent} is a file")
+                raise ConfigError(f"artefact {path} cannot be written: {parent} is a file")
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -135,8 +131,8 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     space, underscore or leading zero, so ``007`` and ``01`` are refused."""
     tokens = text.split(",")
     if not all(re.fullmatch(r"0|[1-9][0-9]*", tok) for tok in tokens):
-        raise UsageError(f"{what} must be comma-separated integers without signs, "
-                         f"spaces or leading zeros: {text!r}")
+        raise ConfigError(f"{what} must be comma-separated integers without signs, "
+                          f"spaces or leading zeros: {text!r}")
     return [int(tok) for tok in tokens]
 
 
@@ -164,9 +160,9 @@ def _load_problem(args, *paths, normalize: bool = False) -> list[Dataset]:
                                f"but training set {paths[0]} has {width}")
     train, *others = unify_vocabulary(*loaded)
     if not 1 <= args.k <= train.n_samples:
-        raise UsageError(f"--k must be in 1..{train.n_samples}, got {args.k}")
+        raise ConfigError(f"--k must be in 1..{train.n_samples}, got {args.k}")
     if normalize:
-        train, others, _ = normalize_minmax(train, others)
+        train, others = normalize_minmax(train, others)
     return [train, *others]
 
 
@@ -190,13 +186,13 @@ def _parse_mask(value: str, feature_count: int) -> FeatureMask:
         return _parse_mask_text(value, value, feature_count)
     try:
         mask = _parse_mask_text(value, value, feature_count)
-    except UsageError:
+    except ConfigError:
         lines = [ln.strip() for ln in Path(value).read_text(encoding="utf-8-sig").splitlines()]
         lines = [ln for ln in lines if ln and not ln.startswith("#")]
         if not lines:
-            raise UsageError(f"mask file {value} is empty")
+            raise ConfigError(f"mask file {value} is empty")
         return _parse_mask_text(lines[0], value, feature_count)
-    raise UsageError(
+    raise ConfigError(
         f"--mask {value!r} is ambiguous: it reads as features "
         f"{mask.to_index_string()} and also names a file; write ./{value} "
         "to read the file"
@@ -215,7 +211,7 @@ def _parse_mask_text(source: str, value: str, feature_count: int) -> FeatureMask
     try:
         return FeatureMask.from_indices(indices, feature_count)
     except ValueError as exc:
-        raise UsageError(f"cannot parse mask {value!r}: {exc}")
+        raise ConfigError(f"cannot parse mask {value!r}: {exc}")
 
 
 def _dataset_flags(sub: argparse.ArgumentParser) -> None:
@@ -230,12 +226,12 @@ def _dataset_flags(sub: argparse.ArgumentParser) -> None:
 def cmd_synth(args) -> int:
     uniform = args.train_per_class is not None or args.test_per_class is not None
     if uniform and (args.train_per_class is None or args.test_per_class is None):
-        raise UsageError("--train-per-class and --test-per-class go together")
+        raise ConfigError("--train-per-class and --test-per-class go together")
     given = {dest: value for dest in POOL_DEFAULTS
              if (value := getattr(args, dest)) is not None and value is not False}
     if uniform and given:
-        raise UsageError(", ".join("--" + dest.replace("_", "-") for dest in given)
-                         + ": pool-split flags, unused with --train-per-class")
+        raise ConfigError(", ".join("--" + dest.replace("_", "-") for dest in given)
+                          + ": pool-split flags, unused with --train-per-class")
     # a per-class manifest echoes none for each pool-split flag: none applied
     pool = dict.fromkeys(POOL_DEFAULTS) if uniform else POOL_DEFAULTS | given
     spec = _from_args(SynthSpec, args,
@@ -351,17 +347,17 @@ def _expand_pairs(pair_args: list[str], mask: Optional[FeatureMask],
     for value in pair_args:
         if value == "all":
             if mask is None:
-                raise UsageError("--pair all needs --mask to supply the feature set")
+                raise ConfigError("--pair all needs --mask to supply the feature set")
             active = [int(i) for i in mask.active_indices()]
             pairs += [(a, b) for n, a in enumerate(active) for b in active[n + 1:]]
             continue
         ints = _parse_int_list(value, "--pair")
         if len(ints) != 2 or ints[0] == ints[1]:
-            raise UsageError(f"--pair wants two distinct indices, got {value!r}")
+            raise ConfigError(f"--pair wants two distinct indices, got {value!r}")
         pairs.append((ints[0], ints[1]))
     for a, b in pairs:
         if not (0 <= a < feature_count and 0 <= b < feature_count):
-            raise UsageError(f"--pair ({a},{b}) out of range 0..{feature_count - 1}")
+            raise ConfigError(f"--pair ({a},{b}) out of range 0..{feature_count - 1}")
     return pairs
 
 
@@ -369,8 +365,8 @@ def cmd_project(args) -> int:
     data = _load(args.dataset, args)
     mask = _parse_mask(args.mask, data.feature_count) if args.mask else None
     if mask and mask.active_count < 2 and (not args.pair or "all" in args.pair):
-        raise UsageError("the PCA and --pair all need at least two active features in "
-                         f"--mask, got {mask.to_index_string()}")
+        raise ConfigError("the PCA and --pair all need at least two active features in "
+                          f"--mask, got {mask.to_index_string()}")
     out = Path(args.out)
     manifest_path = out.with_suffix(".manifest.txt")
     manifest = _flags(args, mask=mask.to_string() if mask else None) + _digests(
@@ -558,7 +554,7 @@ def _refuse_lost_values(parser: argparse.ArgumentParser, args) -> None:
         if value == "--" or isinstance(value, list) and (
                 not value or any(not isinstance(v, str) or v == "--" for v in value)):
             flag = "/".join(action.option_strings) or action.dest
-            raise UsageError(f"{flag} has no value: '--' is read as none")
+            raise ConfigError(f"{flag} has no value: '--' is read as none")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -569,7 +565,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
         return code
-    except (UsageError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

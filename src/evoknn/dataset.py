@@ -28,7 +28,8 @@ class DatasetError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Raised by the owner of a parameter when a value the caller chose is refused."""
+    """A value the caller chose is refused, by the parameter's owner or by a
+    CLI flag check: the CLI's usage error, exit 2."""
 
 
 @dataclass(frozen=True)
@@ -303,14 +304,13 @@ def unify_vocabulary(*datasets: Dataset) -> tuple[Dataset, ...]:
 
 def normalize_minmax(
     train: Dataset, others: Sequence[Dataset] = ()
-) -> tuple[Dataset, list[Dataset], tuple[np.ndarray, np.ndarray]]:
+) -> tuple[Dataset, list[Dataset]]:
     """Affinely map each feature so the train min/max land on 0/1.
 
     The train-set bounds are applied unchanged to ``others``, so their values
     may fall outside [0, 1].  Constant train features map to 0 everywhere.
     A span or scaled value past the largest double is refused, naming its
-    feature.  Returns (scaled train, scaled others, (per-feature min,
-    per-feature max)).
+    feature.  Returns (scaled train, scaled others).
     """
     lo = train.features.min(axis=0)
     hi = train.features.max(axis=0)
@@ -328,4 +328,4 @@ def normalize_minmax(
                                "bounds overflows a double")
         return Dataset(scaled, d.labels, d.classes)
 
-    return apply(train), [apply(d) for d in others], (lo.copy(), hi.copy())
+    return apply(train), [apply(d) for d in others]

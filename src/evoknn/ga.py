@@ -15,12 +15,9 @@ blocks of both and yields each mask with its row of predictions.
 ``evolve`` fills one ``knn.term_table`` per run, when it fits
 ``knn.TERM_BUDGET``, and passes it to ``mask_predictions``, so each
 feature's term is computed once per run, not once per chunk of masks.
-Both hand the pairs to ``_scored``, the one tail after that: ``fitness`` is
-called once per mask with its row, so counting hits is all that is left per
-mask, and returns the mask's one record, an ``Individual``, which
-``evolve``'s cache and ``exhaustive_best`` keep.  That per-mask call stays
-while the benchmark's hooks count and time it, until they count the masks
-instead.
+Both call ``fitness`` on every mask with its row, which returns the mask's
+one record, an ``Individual``; that per-mask call stays while the
+benchmark's hooks count and time it.
 
 Draw order per run: population init (per mask: L uniform bit coins,
 plus one repair index if all bits came up 0), then per bred pair: parent A
@@ -38,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -161,21 +158,6 @@ def fitness(
     return Individual(mask, cfg.alpha * hits - cfg.beta * nf, hits, nf)
 
 
-def _scored(
-    pairs: Iterable[tuple[FeatureMask, np.ndarray]], train: Dataset, eval_set: Dataset,
-    cfg: GaConfig,
-) -> Iterator[Individual]:
-    """``fitness(mask, ...)`` for each ``(mask, predicted row)`` of ``pairs``;
-    ``fitness`` then only counts the mask's hits in its row.  It
-    yields, not lists: listing a chunk's results raised the benchmark's peak
-    RSS on the reference ``select`` by about 0.3 MB."""
-    for mask, row in pairs:
-        yield fitness(mask, train, eval_set, cfg, predicted=row)
-        # a row held here would keep its whole block's predictions alive
-        # while ``knn`` votes the next block
-        del row
-
-
 def _repair(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if not bits.any():  # all-zero bits become one uniformly drawn bit, in a new array
         bits = np.arange(bits.size) == rng.integers(0, bits.size)
@@ -276,7 +258,8 @@ def evolve(
     def evaluate(masks: list[FeatureMask]) -> list[Individual]:
         fresh = dict.fromkeys(m for m in masks if m not in cache)
         pairs = mask_predictions(train, eval_set, cfg.k, fresh, table=table)
-        cache.update((ind.mask, ind) for ind in _scored(pairs, train, eval_set, cfg))
+        cache.update((mask, fitness(mask, train, eval_set, cfg, predicted=row))
+                     for mask, row in pairs)
         return [cache[mask] for mask in masks]
 
     population = evaluate(init_population(cfg, length, rng))
@@ -337,8 +320,8 @@ def exhaustive_best(
         )
     best = best_key = None  # the smallest key wins
     scored = 0
-    pairs = subset_predictions(train, eval_set, cfg.k)
-    for ind in _scored(pairs, train, eval_set, cfg):
+    for mask, row in subset_predictions(train, eval_set, cfg.k):
+        ind = fitness(mask, train, eval_set, cfg, predicted=row)
         scored += 1
         key = (-ind.fitness, ind.nf, ind.mask.key)
         if best is None or key < best_key:

@@ -29,8 +29,10 @@ predicted classes:
   which lacks the highest feature, comes first, and every value between has
   more features, so ``prefix[level - 1]`` still holds the parent's sum.  Row
   ``r | 2**i`` of the block is row ``r`` plus high feature ``i``'s term.
-  Terms are not kept, so what is held is the block and one prefix per level
-  (keeping the high ones put the oracle bench's allocation peak over 1.5 MiB).
+  The ``b`` high terms are computed once per walk and kept; a low term is
+  computed once per low set that adds it, and not kept.  So what is held is
+  the block, the high terms and one prefix per level: on the oracle bench's
+  shape (30 x 60 matrices, ``b`` = 6) that peaks at about 1.45 MiB.
   A block's masks are the rows of one (``2**b`` x features) bit matrix, the
   low set's bits broadcast beside the fixed high bits; each ``FeatureMask``
   copies its row into its key, so the matrix is reused.
@@ -59,7 +61,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -72,30 +74,32 @@ D2_BUDGET = 1 << 20  # bytes of one d2 block: the summed distances held at once
 TERM_BUDGET = 16 << 20  # bytes of the largest term table a GA run holds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FeatureMask:
     """Fixed-length bit string selecting which features enter the metric.
 
     Bit n corresponds to feature n; the leftmost character of the text form
-    is feature 0.  ``key`` holds one 0/1 byte per feature, set once; equality
-    and hashing come from it, and at equal length key order is text order,
-    so ``(-fitness, nf, key)`` sorts ties by fewer features, then by the
-    smaller 0/1 text.  ``bits`` is a read-only bool view of ``key``.  Every
-    mask has an active feature: k-NN cannot score one that selects none.
+    is feature 0.  ``key``, the one field, holds one 0/1 byte per feature;
+    equality and hashing come from it, and at equal length key order is text
+    order, so ``(-fitness, nf, key)`` sorts ties by fewer features, then by
+    the smaller 0/1 text.  ``bits`` is a read-only bool view of ``key``.
+    Every mask has an active feature: k-NN cannot score one that selects none.
     """
 
-    bits: np.ndarray = field(compare=False)
-    key: bytes = field(init=False, repr=False)
+    key: bytes
 
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=bool)
+    def __init__(self, bits):
+        bits = np.asarray(bits, dtype=bool)
         if bits.ndim != 1 or bits.size == 0:
             raise ValueError("mask must be a non-empty 1D bit string")
         key = bits.tobytes()
         if 1 not in key:  # not bits.any(): a numpy call per subset would slow the oracle
             raise ValueError("mask has no active features")
         object.__setattr__(self, "key", key)
-        object.__setattr__(self, "bits", np.frombuffer(key, dtype=bool))
+
+    @property
+    def bits(self) -> np.ndarray:
+        return np.frombuffer(self.key, dtype=bool)
 
     @classmethod
     def from_string(cls, text: str) -> "FeatureMask":
@@ -290,6 +294,8 @@ def subset_predictions(
     bits = np.empty((1 << b, length), dtype=bool)
     bits[:, low:] = np.arange(1 << b)[:, None] >> np.arange(b) & 1
     block = np.empty((1 << b, test.n_samples, train.n_samples))
+    with np.errstate(over="ignore"):
+        high = [_term(train, queries, low + i) for i in range(b)]
     prefix = [0.0] * (low + 1)  # prefix[level]: d2 of the last low set at that level
     for s in range(1 << low):
         level = s.bit_count()
@@ -299,8 +305,7 @@ def subset_predictions(
                 prefix[level] = prefix[level - 1] + _term(train, queries, j)
             block[0] = prefix[level]
             for i in range(b):
-                np.add(block[: 1 << i], _term(train, queries, low + i),
-                       out=block[1 << i : 2 << i])
+                np.add(block[: 1 << i], high[i], out=block[1 << i : 2 << i])
         first = 0 if s else 1  # the empty low set's row 0 is the empty mask
         bits[:, :low] = s >> low_shifts & 1
         masks = [FeatureMask(row) for row in bits[first:]]

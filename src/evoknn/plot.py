@@ -31,8 +31,16 @@ def class_palette(n: int) -> list[str]:
     return colors
 
 
-def _axis_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _axis_ticks(lo: float, hi: float, count: int = 5) -> list[tuple[float, str]]:
+    """``(value, label)`` of each distinct value among ``count`` evenly spaced
+    from ``lo`` to ``hi``: where the span is small beside the values, some
+    round to the same double, which is drawn once.  Labels take the fewest
+    significant digits, at least 4, that tell them apart; 17 tell any two
+    doubles apart."""
+    ticks = list(dict.fromkeys(lo + (hi - lo) * i / (count - 1) for i in range(count)))
+    digits = next((d for d in range(4, 17)
+                   if len({f"{t:.{d}g}" for t in ticks}) == len(ticks)), 17)
+    return [(t, f"{t:.{digits}g}") for t in ticks]
 
 
 def axis_bounds(points) -> list[tuple[float, float]]:
@@ -59,7 +67,6 @@ def svg_scatter(
     points: np.ndarray,
     labels: Sequence[int],
     class_names: Sequence[str],
-    title: str = "",
     x_label: str = "",
     y_label: str = "",
 ) -> str:
@@ -84,20 +91,15 @@ def svg_scatter(
         f'<rect x="{MARGIN}" y="{MARGIN}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#444" stroke-width="1"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{MARGIN + plot_w / 2:.1f}" y="{MARGIN - 18}" font-size="15" '
-            f'text-anchor="middle" font-family="sans-serif">{_esc(title)}</text>'
-        )
-    for x in _axis_ticks(x_lo, x_hi):
+    for x, text in _axis_ticks(x_lo, x_hi):
         parts.append(
             f'<text x="{sx(x):.1f}" y="{HEIGHT - MARGIN + 18}" font-size="10" '
-            f'text-anchor="middle" font-family="sans-serif">{x:.4g}</text>'
+            f'text-anchor="middle" font-family="sans-serif">{text}</text>'
         )
-    for y in _axis_ticks(y_lo, y_hi):
+    for y, text in _axis_ticks(y_lo, y_hi):
         parts.append(
             f'<text x="{MARGIN - 6}" y="{sy(y):.1f}" font-size="10" '
-            f'text-anchor="end" font-family="sans-serif">{y:.4g}</text>'
+            f'text-anchor="end" font-family="sans-serif">{text}</text>'
         )
     if x_label:
         parts.append(

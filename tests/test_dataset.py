@@ -357,11 +357,11 @@ def test_unify_vocabulary_remaps_by_name():
 def test_normalize_minmax_bounds_and_constant_features():
     train = from_rows([[0.0, 5.0, 7.0], [10.0, 5.0, 9.0]], ["a", "b"])
     other = from_rows([[5.0, 5.0, 11.0]], ["a"])
-    t2, others, (lo, hi) = normalize_minmax(train, [other])
+    t2, others = normalize_minmax(train, [other])
     assert t2.features.min() == 0.0 and t2.features.max() == 1.0
     assert t2.features[:, 1].tolist() == [0.0, 0.0]  # constant column
-    assert lo.tolist() == [0.0, 5.0, 7.0]
-    assert hi.tolist() == [10.0, 5.0, 9.0]
+    assert t2.features.min(axis=0).tolist() == [0.0, 0.0, 0.0]
+    assert t2.features.max(axis=0).tolist() == [1.0, 0.0, 1.0]
     # other datasets use the train bounds, so they may leave [0, 1]
     assert others[0].features[0].tolist() == [0.5, 0.0, 2.0]
 
@@ -381,5 +381,5 @@ def test_normalize_minmax_refuses_an_overflow_by_feature_without_a_warning():
             normalize_minmax(narrow, [far])
         # a constant train feature maps to 0, however far the other value lies
         flat = from_rows([[-1e308, 0.0], [-1e308, 1.0]], ["x", "y"])
-        _, (scaled,), _ = normalize_minmax(flat, [from_rows([[1e308, 0.5]], ["x"])])
+        _, (scaled,) = normalize_minmax(flat, [from_rows([[1e308, 0.5]], ["x"])])
     assert scaled.features.tolist() == [[0.0, 0.5]]

@@ -571,12 +571,13 @@ def test_every_subset_scores_as_score_does_on_a_noisy_problem(monkeypatch):
     log = scored_by_fitness(monkeypatch)
     for k in (1, 2, 3, 5):
         cfg = GaConfig(alpha=0.5, beta=0.5, k=k)
-        log.clear()  # _scored below calls the wrapped fitness too
+        log.clear()  # only this k's exhaustive_best
         best, scored = exhaustive_best(train, test, cfg)
         got = dict(log)
         assert scored == len(got) == 4095
         pairs = knn.mask_predictions(train, test, k, masks)
-        assert got == {ind.mask: ind for ind in ga._scored(pairs, train, test, cfg)}
+        assert got == {mask: fitness(mask, train, test, cfg, predicted=row)
+                       for mask, row in pairs}
         if k in NOISY_SUBSETS:
             lines = sorted(f"{mask.to_string()},{fit!r},{hits},{nf}\n"
                            for mask, fit, hits, nf in got.values())
@@ -605,7 +606,7 @@ def test_overflowing_distances_pick_the_same_best_mask_as_score():
                                                     train.features[:, 0]))).any()
     best, _ = exhaustive_best(train, test, cfg)
     pairs = knn.mask_predictions(train, test, cfg.k, all_subsets(6))
-    want = min(ga._scored(pairs, train, test, cfg),
+    want = min((fitness(mask, train, test, cfg, predicted=row) for mask, row in pairs),
                key=lambda s: (-s.fitness, s.nf, s.mask.bits.tobytes()))
     assert best == want
 
@@ -627,8 +628,9 @@ def assert_the_term_table_scores_bit_for_bit(train, test, k):
                 for t in (table, None)]
         assert np.array_equal(*rows)
     cfg = GaConfig(alpha=0.5, beta=0.3, k=k)
-    scores = [list(ga._scored(knn.mask_predictions(train, test, k, masks, table=t),
-                              train, test, cfg)) for t in (table, None)]
+    scores = [[fitness(mask, train, test, cfg, predicted=row)
+               for mask, row in knn.mask_predictions(train, test, k, masks, table=t)]
+              for t in (table, None)]
     assert [ind.mask for ind in scores[0]] == masks == [ind.mask for ind in scores[1]]
     for name in ("fitness", "hits"):
         with_table, without = (np.array([getattr(ind, name) for ind in scored])
@@ -673,13 +675,18 @@ def test_the_term_table_is_only_built_within_term_budget():
         assert knn.term_table(train, test) is None
 
 
+# perfbench's oracle-k3 problem 0: 60 train and 30 test samples on 14 features
+ORACLE_BENCH = SynthSpec(n_classes=6, n_features=14, informative=(1, 5, 9),
+                         class_separation=6.0, seed=12957)
+
+
 def test_exhaustive_best_on_the_oracle_bench_shape_allocates_under_1_5_mib():
-    # one block of at most D2_BUDGET bytes, its vote and one prefix per level
-    # of the walk; a stack of blocks would not fit.  With the cycle collector
-    # off, what is left after the return shows that the block was freed then,
-    # not whenever a reference cycle holding it is collected.
-    train, test = generate(SynthSpec(n_classes=6, n_features=14, informative=(1, 5, 9),
-                                     class_separation=6.0, seed=12957))
+    # one block of at most D2_BUDGET bytes, its vote, the high features' terms
+    # and one prefix per level of the walk; a stack of blocks would not fit.
+    # With the cycle collector off, what is left after the return shows that
+    # the block was freed then, not whenever a reference cycle holding it is
+    # collected.
+    train, test = generate(ORACLE_BENCH)
     cfg = GaConfig(alpha=0.5, beta=0.5, k=3)
     gc.collect()
     gc.disable()
@@ -693,3 +700,19 @@ def test_exhaustive_best_on_the_oracle_bench_shape_allocates_under_1_5_mib():
     assert scored == 16383 and best.mask.to_index_string() == "1,5,9"
     assert peak < 1.5 * (1 << 20)
     assert left < 64 * 1024
+
+
+def test_exhaustive_best_on_the_oracle_bench_shape_computes_each_term_once_per_walk(
+        monkeypatch):
+    # 64-row blocks of 30 x 60 matrices: the top b = 6 features span a block
+    # and their terms are computed first, once; each of the 255 non-empty low
+    # sets of the other 8 adds one term, its highest feature's.  One term per
+    # high feature per low set made 255 + 256 * 6 = 1,791 calls
+    train, test = generate(ORACLE_BENCH)
+    calls = []
+    term = knn._term
+    monkeypatch.setattr(knn, "_term", lambda *args: calls.append(args[2]) or term(*args))
+    best, scored = exhaustive_best(train, test, GaConfig(alpha=0.5, beta=0.5, k=3))
+    assert scored == 16383 and best.mask.to_index_string() == "1,5,9"
+    assert len(calls) == 261
+    assert calls[:6] == list(range(8, 14)) and set(calls[6:]) == set(range(8))

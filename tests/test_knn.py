@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evoknn import cli, ga, knn
+from evoknn import cli, knn
 from evoknn.dataset import Dataset, from_rows, load_csv, unify_vocabulary
 from evoknn.ga import GaConfig, fitness
 from evoknn.knn import (
@@ -521,8 +521,9 @@ def reference_pair(tmp_path_factory):
 
 
 def scored_at_widths(masks, train, test, cfg):
-    """``ga._scored``'s output at chunk widths 1, 2 and more than len(masks),
-    then at a budget below one d2 matrix, which floors the width at 1."""
+    """``fitness`` of each mask with its ``mask_predictions`` row, at chunk
+    widths 1, 2 and more than len(masks), then at a budget below one d2
+    matrix, which floors the width at 1."""
     matrix = 8 * test.n_samples * train.n_samples
     runs = []
     for width, budget in [(w, w * matrix) for w in (1, 2, len(masks) + 1)] + [(1, matrix - 1)]:
@@ -530,7 +531,8 @@ def scored_at_widths(masks, train, test, cfg):
             mp.setattr(knn, "D2_BUDGET", budget)
             assert knn._block_rows(train, test) == width
             pairs = mask_predictions(train, test, cfg.k, masks)
-            runs.append(list(ga._scored(pairs, train, test, cfg)))
+            runs.append([fitness(mask, train, test, cfg, predicted=row)
+                         for mask, row in pairs])
     return runs
 
 
@@ -620,7 +622,8 @@ def test_scoring_a_generation_on_the_reference_pair_allocates_under_1_5_mib(refe
     cfg = GaConfig(alpha=0.5, beta=0.5)
     tracemalloc.start()
     try:
-        scored = list(ga._scored(mask_predictions(train, test, cfg.k, masks), train, test, cfg))
+        scored = [fitness(mask, train, test, cfg, predicted=row)
+                  for mask, row in mask_predictions(train, test, cfg.k, masks)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
