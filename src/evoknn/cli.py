@@ -12,7 +12,13 @@ when stdout's reader has closed the pipe.  Each GA or synth flag stores
 into the ``GaConfig`` or ``SynthSpec`` field of its name and takes that
 field's default, so the library alone declares those parameters.  A usage
 error is a ``ConfigError``, a value the caller chose that is refused, whether
-by a flag check here or by the library code that owns the parameter.
+by a flag check here or by the library code that owns the parameter.  An
+optional flag is given exactly when its value is not None, so an empty
+value goes to the code that owns it: ``--mask ''`` is a usage error and an
+empty input path fails at load.  An empty artefact path or ``--out-dir``,
+or an artefact path naming an existing directory, is a usage error before
+anything is written; a negative seed is one that ``GaConfig`` and
+``SynthSpec`` refuse.
 """
 
 from __future__ import annotations
@@ -110,16 +116,27 @@ def _write_manifest(pairs: list[tuple[str, object]], path) -> None:
         _write_pairs(pairs, fh)
 
 
+def _refuse_empty(args, *dests: str) -> None:
+    """An empty path names no file, though ``Path`` reads it as ``.``: each
+    artefact flag in ``dests`` that is given empty is a usage error."""
+    for dest in dests:
+        if getattr(args, dest) == "":
+            raise ConfigError(f"--{dest.replace('_', '-')} is empty: it names no file")
+
+
 def _refuse_overwrites(inputs, artefacts) -> None:
     """Each artefact must be a file of its own: one that resolves to an input
     or to an earlier artefact would destroy it, and the manifest would then
-    list or hash a file that no longer holds what it says.  An existing file
-    where one of its directories must go would fail the write after the work."""
+    list or hash a file that no longer holds what it says.  An existing
+    directory in its place, or an existing file where one of its directories
+    must go, would fail the write after the work."""
     taken = {Path(path).resolve(): f"input {path}" for path in inputs}
     for path in artefacts:
         resolved = Path(path).resolve()
         if resolved in taken:
             raise ConfigError(f"artefact {path} would overwrite {taken[resolved]}")
+        if Path(path).is_dir():
+            raise ConfigError(f"artefact {path} cannot be written: it is a directory")
         taken[resolved] = f"artefact {path}"
         for parent in Path(path).parents:
             if parent.exists() and not parent.is_dir():
@@ -224,6 +241,7 @@ def _dataset_flags(sub: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(args) -> int:
+    _refuse_empty(args, "out_dir")
     uniform = args.train_per_class is not None or args.test_per_class is not None
     if uniform and (args.train_per_class is None or args.test_per_class is None):
         raise ConfigError("--train-per-class and --test-per-class go together")
@@ -267,7 +285,8 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- select
 
 def cmd_select(args) -> int:
-    paths = [args.train, args.eval] + ([args.holdout] if args.holdout else [])
+    _refuse_empty(args, "out_dir")
+    paths = [args.train, args.eval] + ([args.holdout] if args.holdout is not None else [])
     out_dir = Path(args.out_dir)
     trace_path, mask_path, summary_path = (
         out_dir / name for name in ("trace.csv", "best_mask.txt", "summary.txt"))
@@ -362,24 +381,26 @@ def _expand_pairs(pair_args: list[str], mask: Optional[FeatureMask],
 
 
 def cmd_project(args) -> int:
+    _refuse_empty(args, "out", "svg")
     data = _load(args.dataset, args)
-    mask = _parse_mask(args.mask, data.feature_count) if args.mask else None
-    if mask and mask.active_count < 2 and (not args.pair or "all" in args.pair):
+    mask = _parse_mask(args.mask, data.feature_count) if args.mask is not None else None
+    if mask is not None and mask.active_count < 2 and (args.pair is None or "all" in args.pair):
         raise ConfigError("the PCA and --pair all need at least two active features in "
                           f"--mask, got {mask.to_index_string()}")
     out = Path(args.out)
     manifest_path = out.with_suffix(".manifest.txt")
-    manifest = _flags(args, mask=mask.to_string() if mask else None) + _digests(
+    manifest = _flags(args, mask=mask.to_string() if mask is not None else None) + _digests(
         args, "dataset") + [
         ("samples", data.n_samples),
         ("features", data.feature_count),
     ]
     # (coordinates CSV, SVG or None, coordinates, CSV columns, SVG axis labels) per view
-    if args.pair:
+    if args.pair is not None:
         pairs = _expand_pairs(args.pair, mask, data.feature_count)
-        svg = Path(args.svg) if args.svg else None
+        svg = Path(args.svg) if args.svg is not None else None
         views = [(out.with_name(f"{out.stem}_pair_{a}_{b}{out.suffix or '.csv'}"),
-                  svg and svg.with_name(f"{svg.stem}_pair_{a}_{b}{svg.suffix or '.svg'}"),
+                  svg.with_name(f"{svg.stem}_pair_{a}_{b}{svg.suffix or '.svg'}")
+                  if svg is not None else None,
                   data.features[:, [a, b]], [f"f{a}", f"f{b}"],
                   (f"feature {a}", f"feature {b}")) for a, b in pairs]
         manifest.append(("pairs", [f"{a},{b}" for a, b in pairs]))
@@ -392,11 +413,11 @@ def cmd_project(args) -> int:
     # every view is computed, and each SVG's axes checked, before anything is
     # deleted or written. A parsed --mask that names a file was read from it
     for _, svg_out, coords, *_ in views:
-        if svg_out:
+        if svg_out is not None:
             axis_bounds(coords)
-    mask_file = [args.mask] if mask and _names_a_file(args.mask) else []
-    _refuse_overwrites([args.dataset] + mask_file,
-                       [path for view in views for path in view[:2] if path] + [manifest_path])
+    mask_file = [args.mask] if mask is not None and _names_a_file(args.mask) else []
+    _refuse_overwrites([args.dataset] + mask_file, [
+        path for view in views for path in view[:2] if path is not None] + [manifest_path])
     manifest_path.unlink(missing_ok=True)
 
     outputs: list[str] = []
@@ -405,7 +426,7 @@ def cmd_project(args) -> int:
                    ([idx, data.classes[lab]] + row for idx, (row, lab)
                     in enumerate(zip(coords.tolist(), data.labels))))
         outputs.append(str(coords_out))
-        if svg_out:
+        if svg_out is not None:
             write_svg_scatter(svg_out, coords, data.labels, data.classes,
                               x_label=x_label, y_label=y_label)
             outputs.append(str(svg_out))

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -67,6 +67,8 @@ class GaConfig:
     as ``best_fitness >= stop_on_fitness`` in floats: ``0.6 * 46 - 0.6 * 3``
     is ``25.799999999999997``, so 25.8 never fires on a 46-hit, 3-feature
     optimum.  Pass ``repr(alpha * hits - beta * nf)`` as Python computes it.
+    ``seed`` must be non-negative, as numpy's generator takes it; a refused
+    value is a ``ConfigError`` naming its field.
     """
 
     population_size: int = 50
@@ -108,6 +110,8 @@ class GaConfig:
             raise ConfigError("tournament_size must be in 2..population_size")
         if self.stall_generations is not None and self.stall_generations < 1:
             raise ConfigError("stall_generations must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def flip_rate(self, length: int) -> float:
         return self.per_bit_flip_rate if self.per_bit_flip_rate is not None else 1.0 / length
@@ -126,8 +130,7 @@ class GaConfig:
                                   "the fitness would not be finite")
 
 
-@dataclass(frozen=True)
-class GenerationStats:
+class GenerationStats(NamedTuple):
     generation: int
     best_fitness: float
     median_fitness: float
@@ -137,7 +140,7 @@ class GenerationStats:
     best_mask: FeatureMask
 
 
-TRACE_COLUMNS = tuple(f.name for f in fields(GenerationStats))
+TRACE_COLUMNS = GenerationStats._fields
 
 
 def fitness(
@@ -331,10 +334,10 @@ def exhaustive_best(
 
 def write_trace(trace: list[GenerationStats], path) -> None:
     """Write the per-generation trace CSV: one column per ``GenerationStats``
-    field, one row per generation.
+    field, one row per generation, each record's values in order.
 
     Cells are written by ``dataset.write_rows``, the mask as its 0/1 text.
     """
     write_rows(path, TRACE_COLUMNS, (
-        [value.to_string() if isinstance(value, FeatureMask) else value
-         for value in (getattr(s, name) for name in TRACE_COLUMNS)] for s in trace))
+        [value.to_string() if isinstance(value, FeatureMask) else value for value in s]
+        for s in trace))

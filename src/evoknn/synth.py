@@ -20,6 +20,10 @@ from .dataset import ConfigError, Dataset
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """A planted problem's parameters; ``seed`` drives every draw and the
+    pool split, and must be non-negative, as numpy's generator takes it.  A
+    refused value is a ``ConfigError`` naming its field."""
+
     n_classes: int = 14
     n_features: int = 117
     informative: tuple[int, ...] = (70, 101, 112)
@@ -45,6 +49,8 @@ class SynthSpec:
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         if self.train_per_class < 1 or self.test_per_class < 1:
             raise ConfigError("per-class sample counts must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def _standard_normal(rng: np.random.Generator, shape) -> np.ndarray:

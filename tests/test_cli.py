@@ -946,14 +946,19 @@ def test_project_makes_the_svg_directory(data_dir, tmp_path, capsys):
     assert coords.with_suffix(".manifest.txt").exists()
 
 
-def test_failed_project_leaves_no_manifest(data_dir, tmp_path, capsys):
+def test_failed_project_leaves_no_manifest(data_dir, tmp_path, monkeypatch, capsys):
     # a rerun that fails after writing new coordinates must not leave the
     # previous run's manifest beside them
     coords, svg = tmp_path / "coords.csv", tmp_path / "s.svg"
     argv = ["project", str(data_dir / "train.csv"), "--out", str(coords), "--svg", str(svg)]
     assert cli.main(argv) == 0
-    svg.unlink()
-    (svg / "blocker").mkdir(parents=True)  # the SVG cannot replace a directory
+
+    def write_half_an_svg(path, *args, **kwargs):
+        with atomic_write(path) as fh:
+            fh.write("<svg")
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_svg_scatter", write_half_an_svg)
     assert cli.main(argv + ["--mask", "1,4"]) == 1
     capsys.readouterr()
     assert not coords.with_suffix(".manifest.txt").exists()
@@ -984,6 +989,98 @@ def test_an_artefact_path_under_a_file_is_refused_before_any_work(data_dir, monk
     assert cli.main(["project", str(train), "--out", str(Path(out_dir) / "c.csv")]) == 2
     assert f"{train} is a file" in capsys.readouterr().err
     assert {path: path.read_bytes() for path in data_dir.iterdir()} == before
+
+
+def test_an_artefact_path_that_is_a_directory_is_refused_before_any_work(
+        data_dir, tmp_path, monkeypatch, capsys):
+    # each would fail at the final rename, after the data was generated, the
+    # GA run or the PCA computed; the directory is named, exit 2, nothing written
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    train, test = str(data_dir / "train.csv"), str(data_dir / "test.csv")
+    for name in ("synth", "run"):
+        (tmp_path / name / {"synth": "train.csv", "run": "trace.csv"}[name]).mkdir(parents=True)
+    (tmp_path / "adir").mkdir()
+    with monkeypatch.context() as patched:
+        for name in ("load_csv", "generate", "generate_pool", "evolve"):
+            patched.setattr(cli, name, no_work)
+        for argv, named in (
+                (["synth", "--out-dir", str(tmp_path / "synth")], tmp_path / "synth/train.csv"),
+                (["select", train, test, "--out-dir", str(tmp_path / "run")],
+                 tmp_path / "run/trace.csv")):
+            assert cli.main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"artefact {named} cannot be written: it is a directory" in captured.err
+    assert cli.main(["project", train, "--out", str(tmp_path / "adir")]) == 2
+    assert f"artefact {tmp_path / 'adir'} cannot be written" in capsys.readouterr().err
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                  if p.is_file()) == ["data/manifest.txt", "data/test.csv", "data/train.csv"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["project", "TRAIN", "--out", "c.csv", "--svg", ""], "--svg"),
+    (["project", "TRAIN", "--out", "c.csv", "--svg", "", "--pair", "0,1"], "--svg"),
+    (["project", "TRAIN", "--out", ""], "--out"),
+    (["synth", "--out-dir", ""], "--out-dir"),
+    (["select", "TRAIN", "TEST", "--out-dir", ""], "--out-dir"),
+])
+def test_an_empty_artefact_path_is_a_usage_error(data_dir, tmp_path, monkeypatch, capsys,
+                                                  argv, flag):
+    # Path reads "" as ".": project wrote its coordinates before failing on
+    # the SVG, and synth and select wrote into the current directory
+    monkeypatch.chdir(tmp_path)
+    names = {"TRAIN": str(data_dir / "train.csv"), "TEST": str(data_dir / "test.csv")}
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main([names.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} is empty" in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_an_empty_project_mask_is_a_usage_error(data_dir, tmp_path, capsys):
+    # "" is a given --mask, read as eval reads it, not a PCA on every feature
+    coords = tmp_path / "coords.csv"
+    assert cli.main(["project", str(data_dir / "train.csv"), "--mask", "",
+                     "--out", str(coords)]) == 2
+    assert "mask ''" in capsys.readouterr().err
+    assert list(tmp_path.glob("coords*")) == []
+
+
+def test_an_empty_holdout_fails_at_load_before_the_ga(data_dir, tmp_path, monkeypatch,
+                                                      capsys):
+    # "" is a given --holdout: loading it fails before the GA starts, not
+    # after the GA ran and wrote its trace
+    def no_search(*args, **kwargs):
+        raise AssertionError("the GA started")
+
+    monkeypatch.setattr(cli, "evolve", no_search)
+    train, test = str(data_dir / "train.csv"), str(data_dir / "test.csv")
+    run = tmp_path / "run"
+    assert cli.main(["select", train, test, "--out-dir", str(run), "--holdout", ""]
+                    + SELECT_FLAGS) == 1
+    assert capsys.readouterr().out == ""
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "select"])
+def test_a_negative_seed_is_a_usage_error_naming_it(data_dir, tmp_path, monkeypatch, capsys,
+                                                     command):
+    # numpy refused it with "expected non-negative integer", exit 1, naming no flag
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("generate", "generate_pool", "evolve"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "out"
+    inputs = [str(data_dir / "train.csv"), str(data_dir / "test.csv")] * (command == "select")
+    assert cli.main([command, *inputs, "--out-dir", str(out), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be non-negative, got -1" in captured.err
+    assert not out.exists()
 
 
 def test_failed_select_leaves_no_summary_and_no_temp_file(data_dir, tmp_path, capsys,

@@ -23,6 +23,7 @@ def test_spec_validation():
         dict(noise_sd=-1.0),
         dict(train_per_class=0),
         dict(test_per_class=0),
+        dict(seed=-1),
     ):
         with pytest.raises(ConfigError):
             SynthSpec(**bad)
