@@ -13,12 +13,12 @@ into the ``GaConfig`` or ``SynthSpec`` field of its name and takes that
 field's default, so the library alone declares those parameters.  A usage
 error is a ``ConfigError``, a value the caller chose that is refused, whether
 by a flag check here or by the library code that owns the parameter.  An
-optional flag is given exactly when its value is not None, so an empty
-value goes to the code that owns it: ``--mask ''`` is a usage error and an
-empty input path fails at load.  An empty artefact path or ``--out-dir``,
-or an artefact path naming an existing directory, is a usage error before
-anything is written; a negative seed is one that ``GaConfig`` and
-``SynthSpec`` refuse.
+optional flag is given exactly when its value is not None.  A command is
+refused in one order, before anything is written: a value of ``''`` or
+``--`` for any argument (``main``), then the parameters (``GaConfig``,
+``SynthSpec``), then the artefact paths, then the inputs as they load; a
+value read against the data, such as ``--k`` within the training rows or a
+``--mask`` or ``--pair`` within the features, is checked right after the load.
 """
 
 from __future__ import annotations
@@ -114,14 +114,6 @@ def _write_pairs(pairs: list[tuple[str, object]], fh) -> None:
 def _write_manifest(pairs: list[tuple[str, object]], path) -> None:
     with atomic_write(path) as fh:
         _write_pairs(pairs, fh)
-
-
-def _refuse_empty(args, *dests: str) -> None:
-    """An empty path names no file, though ``Path`` reads it as ``.``: each
-    artefact flag in ``dests`` that is given empty is a usage error."""
-    for dest in dests:
-        if getattr(args, dest) == "":
-            raise ConfigError(f"--{dest.replace('_', '-')} is empty: it names no file")
 
 
 def _refuse_overwrites(inputs, artefacts) -> None:
@@ -241,7 +233,6 @@ def _dataset_flags(sub: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(args) -> int:
-    _refuse_empty(args, "out_dir")
     uniform = args.train_per_class is not None or args.test_per_class is not None
     if uniform and (args.train_per_class is None or args.test_per_class is None):
         raise ConfigError("--train-per-class and --test-per-class go together")
@@ -254,6 +245,7 @@ def cmd_synth(args) -> int:
     pool = dict.fromkeys(POOL_DEFAULTS) if uniform else POOL_DEFAULTS | given
     spec = _from_args(SynthSpec, args,
                       informative=_parse_int_list(args.informative, "--informative"))
+    sizes = None if uniform else tuple(_parse_int_list(pool["class_sizes"], "--class-sizes"))
     out_dir = Path(args.out_dir)
     train_path, test_path, manifest_path = (
         out_dir / name for name in ("train.csv", "test.csv", "manifest.txt"))
@@ -261,7 +253,6 @@ def cmd_synth(args) -> int:
     if uniform:
         train, test = generate(spec)
     else:
-        sizes = tuple(_parse_int_list(pool["class_sizes"], "--class-sizes"))
         train, test = split_random(generate_pool(spec, sizes), pool["test_count"],
                                    spec.seed, stratified=pool["stratified"])
 
@@ -285,7 +276,7 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- select
 
 def cmd_select(args) -> int:
-    _refuse_empty(args, "out_dir")
+    cfg = _from_args(GaConfig, args)
     paths = [args.train, args.eval] + ([args.holdout] if args.holdout is not None else [])
     out_dir = Path(args.out_dir)
     trace_path, mask_path, summary_path = (
@@ -293,7 +284,6 @@ def cmd_select(args) -> int:
     _refuse_overwrites(paths, [trace_path, mask_path, summary_path])
     train, eval_set, *rest = _load_problem(args, *paths, normalize=args.normalize)
     holdout = rest[0] if rest else None
-    cfg = _from_args(GaConfig, args)
 
     started = time.perf_counter()
     best, trace, stopped = evolve(train, eval_set, cfg)
@@ -343,12 +333,13 @@ def cmd_select(args) -> int:
 # ---------------------------------------------------------------- eval
 
 def cmd_eval(args) -> int:
+    cfg = _from_args(GaConfig, args)
     train, test = _load_problem(args, args.train, args.test, normalize=args.normalize)
     mask = _parse_mask(args.mask, train.feature_count)
     hits, rate, predicted = recognition_rate(
-        train, test, args.k, mask, reject_ties=args.reject_ties
+        train, test, cfg.k, mask, reject_ties=args.reject_ties
     )
-    _write_pairs([("command", "eval"), ("k", args.k), ("mask", mask.to_string()),
+    _write_pairs([("command", "eval"), ("k", cfg.k), ("mask", mask.to_string()),
                   ("active_features", mask.to_index_string()), ("hits", hits),
                   ("rate", rate)], sys.stdout)
     for idx, (guess, actual) in enumerate(zip(predicted.tolist(), test.labels.tolist())):
@@ -381,7 +372,6 @@ def _expand_pairs(pair_args: list[str], mask: Optional[FeatureMask],
 
 
 def cmd_project(args) -> int:
-    _refuse_empty(args, "out", "svg")
     data = _load(args.dataset, args)
     mask = _parse_mask(args.mask, data.feature_count) if args.mask is not None else None
     if mask is not None and mask.active_count < 2 and (args.pair is None or "all" in args.pair):
@@ -441,8 +431,8 @@ def cmd_project(args) -> int:
 # ---------------------------------------------------------------- oracle
 
 def cmd_oracle(args) -> int:
-    train, eval_set = _load_problem(args, args.train, args.eval)
     cfg = _from_args(GaConfig, args)
+    train, eval_set = _load_problem(args, args.train, args.eval)
     best, scored = exhaustive_best(train, eval_set, cfg)
     _write_pairs([("command", "oracle"), ("alpha", cfg.alpha), ("beta", cfg.beta),
                   ("k", cfg.k), ("subsets_evaluated", scored),
@@ -565,24 +555,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refuse_lost_values(parser: argparse.ArgumentParser, args) -> None:
-    """Python 3.11's argparse parses a single-valued ``--flag=--`` to ``[]``,
-    or ``[[]]`` for an appended flag, where a later argparse may keep the
-    text ``--``.  Either reading is refused, so every version exits 2."""
+def _refuse_empty_values(parser: argparse.ArgumentParser, args) -> None:
+    """A value of ``''`` or ``--``, or a list that is empty or holds one, names
+    nothing: a usage error naming the argument.  ``Path`` reads ``''`` as ``.``;
+    Python 3.11 parses ``--flag=--`` to ``[]`` (``[[]]`` if appended)."""
     subs = next(action for action in parser._actions if action.dest == "subcommand")
     for action in subs.choices[args.subcommand]._actions:
         value = getattr(args, action.dest, None)
-        if value == "--" or isinstance(value, list) and (
-                not value or any(not isinstance(v, str) or v == "--" for v in value)):
+        values = value if isinstance(value, list) and value else [value]
+        if any(v in ("", "--", []) for v in values):
             flag = "/".join(action.option_strings) or action.dest
-            raise ConfigError(f"{flag} has no value: '--' is read as none")
+            raise ConfigError(f"{flag} is empty: a value of '' or '--' names nothing")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _refuse_lost_values(parser, args)
+        _refuse_empty_values(parser, args)
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
         return code

@@ -1025,11 +1025,23 @@ def test_an_artefact_path_that_is_a_directory_is_refused_before_any_work(
     (["project", "TRAIN", "--out", ""], "--out"),
     (["synth", "--out-dir", ""], "--out-dir"),
     (["select", "TRAIN", "TEST", "--out-dir", ""], "--out-dir"),
+    (["eval", "", "TEST", "--mask", "1"], "train"),
+    (["oracle", "TRAIN", ""], "eval"),
+    (["select", "TRAIN", "TEST", "--out-dir", "run", "--holdout", ""], "--holdout"),
+    (["project", "", "--out", "c.csv"], "dataset"),
+    (["eval", "TRAIN", "TEST", "--mask", "1", "--label-column", ""], "--label-column"),
+    (["project", "TRAIN", "--out", "c.csv", "--pair", ""], "--pair"),
 ])
 def test_an_empty_artefact_path_is_a_usage_error(data_dir, tmp_path, monkeypatch, capsys,
                                                   argv, flag):
     # Path reads "" as ".": project wrote its coordinates before failing on
-    # the SVG, and synth and select wrote into the current directory
+    # the SVG, and synth and select wrote into the current directory. An
+    # empty input path failed at load, as "Is a directory: '.'", naming
+    # neither the argument nor ""; now no file is read
+    def no_load(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(cli, "load_csv", no_load)
     monkeypatch.chdir(tmp_path)
     names = {"TRAIN": str(data_dir / "train.csv"), "TEST": str(data_dir / "test.csv")}
     before = sorted(tmp_path.rglob("*"))
@@ -1045,13 +1057,13 @@ def test_an_empty_project_mask_is_a_usage_error(data_dir, tmp_path, capsys):
     coords = tmp_path / "coords.csv"
     assert cli.main(["project", str(data_dir / "train.csv"), "--mask", "",
                      "--out", str(coords)]) == 2
-    assert "mask ''" in capsys.readouterr().err
+    assert "--mask is empty" in capsys.readouterr().err
     assert list(tmp_path.glob("coords*")) == []
 
 
-def test_an_empty_holdout_fails_at_load_before_the_ga(data_dir, tmp_path, monkeypatch,
-                                                      capsys):
-    # "" is a given --holdout: loading it fails before the GA starts, not
+def test_an_empty_holdout_is_a_usage_error_before_the_ga(data_dir, tmp_path, monkeypatch,
+                                                         capsys):
+    # "" is a given --holdout, refused by name before the GA starts, not
     # after the GA ran and wrote its trace
     def no_search(*args, **kwargs):
         raise AssertionError("the GA started")
@@ -1060,9 +1072,29 @@ def test_an_empty_holdout_fails_at_load_before_the_ga(data_dir, tmp_path, monkey
     train, test = str(data_dir / "train.csv"), str(data_dir / "test.csv")
     run = tmp_path / "run"
     assert cli.main(["select", train, test, "--out-dir", str(run), "--holdout", ""]
-                    + SELECT_FLAGS) == 1
-    assert capsys.readouterr().out == ""
+                    + SELECT_FLAGS) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--holdout" in captured.err
     assert not run.exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["select", "MISSING", "TEST", "--out-dir", "run", "--pop", "0"], "population_size"),
+    (["oracle", "MISSING", "TEST", "--alpha", "-1"], "alpha"),
+    (["eval", "MISSING", "TEST", "--mask", "1", "--k", "0"], "k must be positive"),
+])
+def test_a_refused_parameter_is_reported_before_a_missing_input(
+        data_dir, tmp_path, monkeypatch, capsys, argv, field):
+    # each exited 1 on the missing train file: the GaConfig that refuses the
+    # parameter was built only after the load
+    monkeypatch.chdir(tmp_path)
+    names = {"MISSING": str(tmp_path / "missing.csv"), "TEST": str(data_dir / "test.csv")}
+    assert cli.main([names.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err and "missing.csv" not in captured.err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "select"])
